@@ -5,7 +5,6 @@ Run with: python demos/01_entropy_family.py
 
 from pauli_uncertainty import (
     alpha_log,
-    min_entropy,
     phi_alpha,
     renyi_entropy,
     shannon_entropy,
@@ -26,7 +25,6 @@ for alpha in (0.1, 0.25, 0.5, 0.75, 0.999, 2.0, 10.0):
         f"{alpha:7.4g} {phi_alpha(dist, alpha):10.6f}"
         f" {renyi_entropy(dist, alpha):10.6f} {tsallis_entropy(dist, alpha):10.6f}"
     )
-print(f"     oo            {min_entropy(dist):10.6f}  (min-entropy)")
 print()
 
 # At order one every member collapses to the Shannon entropy.

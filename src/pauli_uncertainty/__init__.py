@@ -5,51 +5,30 @@ distributions of sigma_x, sigma_y, sigma_z on any qubit state, provides the
 tight state-independent lower bound 2 ln 2 and pure-state ceiling
 3 rho_hat(alpha) of the entropic sum for orders alpha in (0, 1], and
 re-verifies every bound by exhaustive grid search and random sampling.
+
+The top level re-exports the entry points the demos use; everything else
+is imported from its submodule.
 """
 
 from .distributions import (
-    EntropyOrder,
-    ProbabilityDistribution,
     alpha_log,
-    min_entropy,
     phi_alpha,
     renyi_entropy,
     shannon_entropy,
     tsallis_entropy,
 )
-from .qubit import (
-    BlochVector,
-    PureStateAngles,
-    SpectralDecomposition,
-    angles_to_bloch,
-    pauli_eigenstate,
-    sample_mixed,
-    sample_pure,
-    spectral_to_bloch,
-)
-from .pauli_measure import PauliTriple, measure_mixed, measure_pure
+from .qubit import BlochVector, PureStateAngles, pauli_eigenstate
+from .pauli_measure import measure_mixed, measure_pure
 from .bounds import (
-    BandPoint,
-    BoundViolationError,
-    DomainPoint,
-    SaturationReport,
     band_bounds,
-    big_f,
     check_lower,
     check_upper,
     entropic_sum_renyi,
     entropic_sum_tsallis,
-    f_func,
-    g_func,
-    h_hat,
     rho_hat,
-    series_coeffs_f,
-    series_coeffs_g,
-    symmetry_reduce,
 )
 from .verify import (
     GridSpec,
-    VerificationReport,
     derivative_sign_check,
     grid_max_sum_pure,
     grid_min_sum,
@@ -61,44 +40,23 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EntropyOrder",
-    "ProbabilityDistribution",
     "alpha_log",
-    "min_entropy",
     "phi_alpha",
     "renyi_entropy",
     "shannon_entropy",
     "tsallis_entropy",
     "BlochVector",
     "PureStateAngles",
-    "SpectralDecomposition",
-    "angles_to_bloch",
     "pauli_eigenstate",
-    "sample_mixed",
-    "sample_pure",
-    "spectral_to_bloch",
-    "PauliTriple",
     "measure_mixed",
     "measure_pure",
-    "BandPoint",
-    "BoundViolationError",
-    "DomainPoint",
-    "SaturationReport",
     "band_bounds",
-    "big_f",
     "check_lower",
     "check_upper",
     "entropic_sum_renyi",
     "entropic_sum_tsallis",
-    "f_func",
-    "g_func",
-    "h_hat",
     "rho_hat",
-    "series_coeffs_f",
-    "series_coeffs_g",
-    "symmetry_reduce",
     "GridSpec",
-    "VerificationReport",
     "derivative_sign_check",
     "grid_max_sum_pure",
     "grid_min_sum",

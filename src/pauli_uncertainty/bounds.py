@@ -14,11 +14,11 @@ from typing import Optional
 from .distributions import (
     EntropyOrder,
     OrderLike,
+    ProbabilityDistribution,
     as_order,
     alpha_log,
     phi_alpha,
     renyi_entropy,
-    shannon_entropy,
     tsallis_entropy,
 )
 from .pauli_measure import PauliTriple, measure_pure
@@ -30,6 +30,7 @@ THREE_LN2 = 3.0 * math.log(2.0)
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 #: The balanced extremal outcome pair ((1 + 1/sqrt3)/2, (1 - 1/sqrt3)/2).
 EXTREMAL_PAIR = ((1.0 + INV_SQRT3) / 2.0, (1.0 - INV_SQRT3) / 2.0)
+_EXTREMAL_DIST = ProbabilityDistribution(EXTREMAL_PAIR)
 
 #: Orders at or below this are rejected: the power sum degenerates
 #: non-uniformly as alpha -> 0 and that endpoint is out of scope.
@@ -224,20 +225,12 @@ def rho_hat(a: OrderLike) -> float:
     Three times this value is the tight pure-state ceiling of the Renyi
     entropic sum.
     """
-    order = supported_order(a)
-    if order.is_one:
-        return shannon_entropy(EXTREMAL_PAIR)
-    hi, lo = EXTREMAL_PAIR
-    return math.log(hi**order.alpha + lo**order.alpha) / (1.0 - order.alpha)
+    return renyi_entropy(_EXTREMAL_DIST, supported_order(a))
 
 
 def h_hat(a: OrderLike) -> float:
     """Per-axis Tsallis entropy of the balanced extremal pair."""
-    order = supported_order(a)
-    if order.is_one:
-        return shannon_entropy(EXTREMAL_PAIR)
-    hi, lo = EXTREMAL_PAIR
-    return (hi**order.alpha + lo**order.alpha - 1.0) / (1.0 - order.alpha)
+    return tsallis_entropy(_EXTREMAL_DIST, supported_order(a))
 
 
 def band_bounds(a: OrderLike) -> BandPoint:

@@ -22,6 +22,8 @@ EXIT_DOMAIN_ERROR = 3
 
 DEFAULT_SEED = 20240817
 DEFAULT_VERIFY_ALPHAS = (0.25, 0.5, 0.75, 1.0)
+#: Upper limit of verify --threads; each thread holds its own chunk buffers.
+MAX_THREADS = 64
 
 
 class _InputError(ValueError):
@@ -184,6 +186,8 @@ def cmd_band(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (1 <= args.threads <= MAX_THREADS):
+        raise _InputError(f"--threads must be in [1, {MAX_THREADS}], got {args.threads}")
     if args.alpha_range is not None:
         alphas = _parse_alpha_range(args.alpha_range)
     elif args.alpha is not None:
@@ -196,7 +200,7 @@ def cmd_verify(args) -> int:
     reports = []
     for alpha in alphas:
         order = bounds.supported_order(alpha)
-        claimed = verify.TWO_LN2 - injected if injected else None
+        claimed = bounds.TWO_LN2 - injected if injected else None
         reports.append(
             verify.grid_min_sum(order, grid, n_threads=args.threads, claimed=claimed)
         )

@@ -113,12 +113,6 @@ def renyi_entropy(p: DistributionLike, a: OrderLike) -> float:
     return math.log(phi_alpha(p, order)) / (1.0 - order.alpha)
 
 
-def min_entropy(p: DistributionLike) -> float:
-    """-ln(max_j p_j), the infinite-order limit of the Renyi family."""
-    dist = as_distribution(p)
-    return -math.log(max(dist.probs))
-
-
 def tsallis_entropy(p: DistributionLike, a: OrderLike) -> float:
     """Tsallis entropy (phi_alpha - 1) / (1 - alpha); Shannon at order one."""
     order = as_order(a)

@@ -17,9 +17,6 @@ TWO_PI = 2.0 * math.pi
 #: Bloch norm at or above 1 - PURITY_TOL counts as a pure state.
 PURITY_TOL = 1e-9
 
-#: Name of the pseudo-random generator behind the samplers, for reports.
-GENERATOR_NAME = "numpy.random.PCG64"
-
 
 @dataclass(frozen=True)
 class PureStateAngles:
@@ -77,42 +74,10 @@ class BlochVector:
         return self.norm >= 1.0 - PURITY_TOL
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalue/eigenstate pair of a qubit density operator.
-
-    The eigenstates of any qubit state are orthogonal, so their Bloch
-    vectors must be antipodal; that and the unit trace are enforced here.
-    """
-
-    lambda_plus: float
-    lambda_minus: float
-    psi_plus: PureStateAngles
-    psi_minus: PureStateAngles
-
-    def __post_init__(self) -> None:
-        for lam in (self.lambda_plus, self.lambda_minus):
-            if not (0.0 <= lam <= 1.0):
-                raise ValueError(f"eigenvalue {lam!r} outside [0, 1]")
-        if abs(self.lambda_plus + self.lambda_minus - 1.0) > 1e-12:
-            raise ValueError("eigenvalues must sum to 1 within 1e-12")
-        bp = angles_to_bloch(self.psi_plus)
-        bm = angles_to_bloch(self.psi_minus)
-        if max(abs(bp.rx + bm.rx), abs(bp.ry + bm.ry), abs(bp.rz + bm.rz)) > 1e-9:
-            raise ValueError("eigenstates are not orthogonal (Bloch vectors not antipodal)")
-
-
 def angles_to_bloch(s: PureStateAngles) -> BlochVector:
     """Bloch vector (sin 2tau cos phi, sin 2tau sin phi, cos 2tau)."""
     st = math.sin(2.0 * s.tau)
     return BlochVector(st * math.cos(s.phi), st * math.sin(s.phi), math.cos(2.0 * s.tau))
-
-
-def spectral_to_bloch(d: SpectralDecomposition) -> BlochVector:
-    """Bloch vector of the mixture, scaled along the psi_plus direction."""
-    scale = d.lambda_plus - d.lambda_minus
-    b = angles_to_bloch(d.psi_plus)
-    return BlochVector(scale * b.rx, scale * b.ry, scale * b.rz)
 
 
 _EIGENSTATE_ANGLES = {
@@ -151,8 +116,11 @@ def sample_pure(seed: int, count: int) -> list[PureStateAngles]:
     ]
 
 
-def sample_mixed(seed: int, count: int) -> list[BlochVector]:
-    """Bloch vectors uniform in the open unit ball (norm strictly < 1)."""
+def sample_mixed(seed: int, count: int) -> np.ndarray:
+    """Bloch vectors uniform in the open unit ball (norm strictly < 1).
+
+    Returns a (count, 3) array with one (rx, ry, rz) row per state.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -161,10 +129,5 @@ def sample_mixed(seed: int, count: int) -> list[BlochVector]:
     # radius = U**(1/3) keeps the radial density 3 r**2 of the uniform ball;
     # U in [0, 1) guarantees the norm stays strictly below 1.
     radius = rng.random(count) ** (1.0 / 3.0)
-    sin_theta = np.sqrt(1.0 - cos_theta**2)
-    out = []
-    for r, ct, st, ph in zip(
-        radius.tolist(), cos_theta.tolist(), sin_theta.tolist(), phi.tolist()
-    ):
-        out.append(BlochVector(r * st * math.cos(ph), r * st * math.sin(ph), r * ct))
-    return out
+    r_sin = radius * np.sqrt(1.0 - cos_theta**2)
+    return np.column_stack((r_sin * np.cos(phi), r_sin * np.sin(phi), radius * cos_theta))

@@ -55,6 +55,22 @@ def entropic_sum_brute(alpha: float, rx: float, ry: float, rz: float) -> float:
     return total
 
 
+def sample_mixed_loop(seed: int, count: int) -> np.ndarray:
+    """Ball sampler built one state at a time, the reference for qubit.sample_mixed."""
+    rng = np.random.default_rng(seed)
+    cos_theta = rng.uniform(-1.0, 1.0, size=count)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=count)
+    radius = rng.random(count) ** (1.0 / 3.0)
+    sin_theta = np.sqrt(1.0 - cos_theta**2)
+    rows = [
+        [r * st * math.cos(ph), r * st * math.sin(ph), r * ct]
+        for r, ct, st, ph in zip(
+            radius.tolist(), cos_theta.tolist(), sin_theta.tolist(), phi.tolist()
+        )
+    ]
+    return np.array(rows)
+
+
 def product_f_brute(alpha: float, tau: float, phi: float) -> float:
     """Power-sum product at raw angles, valid on the whole angle domain."""
     sin2t = math.sin(2.0 * tau)

@@ -168,8 +168,7 @@ def test_criterion_06_saturation_iff_eigenstate():
 
     pure_states = sample_pure(SEED, 100_000)
     pure_b = np.array([[b.rx, b.ry, b.rz] for b in map(angles_to_bloch, pure_states)])
-    mixed_states = sample_mixed(SEED + 1, 100_000)
-    mixed_b = np.array([[b.rx, b.ry, b.rz] for b in mixed_states])
+    mixed_b = sample_mixed(SEED + 1, 100_000)
 
     random_ok = True
     detail = []

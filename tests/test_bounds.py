@@ -426,6 +426,6 @@ def test_random_states_respect_both_bounds(rng):
             up = check_upper(t, alpha)
             assert low.kind in (bounds.LOWER_SATURATED, bounds.INTERIOR)
             assert up.kind in (bounds.UPPER_SATURATED, bounds.INTERIOR)
-        for b in sample_mixed(4, 500):
-            report = check_lower(measure_mixed(b), alpha)
+        for rx, ry, rz in sample_mixed(4, 500).tolist():
+            report = check_lower(measure_mixed(BlochVector(rx, ry, rz)), alpha)
             assert report.gap >= 0.0

@@ -213,6 +213,16 @@ def test_verify_negative_control(capsys):
     assert "check=grid_min_sum" in out and "passed=false" in out
 
 
+@pytest.mark.parametrize("threads", ["0", "-3", "65"])
+def test_verify_rejects_threads_out_of_range(capsys, threads):
+    # a 21x21 grid is a single chunk, so even without the check no more
+    # than one worker thread could start
+    code, out, err = run(capsys, "verify", "--alpha", "0.5", "--grid", "21x21", "--threads", threads)
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert "--threads" in err
+
+
 def test_verify_threads_identical_output(capsys):
     args = ["verify", "--alpha", "0.5", "--grid", "101x101", "--samples", "1000", "--points", "32"]
     code_a, out_a, _ = run(capsys, *args)

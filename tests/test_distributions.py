@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +9,6 @@ from pauli_uncertainty.distributions import (
     ProbabilityDistribution,
     alpha_log,
     as_order,
-    min_entropy,
     phi_alpha,
     renyi_entropy,
     shannon_entropy,
@@ -115,20 +113,6 @@ def test_shannon_matches_renyi_limit():
         )
 
 
-def test_min_entropy_values():
-    assert min_entropy([0.5, 0.5]) == pytest.approx(LN2, abs=1e-15)
-    assert min_entropy([1.0, 0.0]) == 0.0
-    assert min_entropy([0.8, 0.2]) == pytest.approx(0.2231435513142097, abs=1e-15)
-
-
-def test_min_entropy_below_renyi():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        dist = rng.dirichlet([1.0, 1.0, 1.0])
-        alpha = rng.uniform(0.05, 5.0)
-        assert min_entropy(dist) <= renyi_entropy(dist, alpha) + 1e-12
-
-
 def test_tsallis_values():
     assert tsallis_entropy([0.5, 0.5], 0.5) == pytest.approx(
         2.0 * (math.sqrt(2.0) - 1.0), abs=1e-15
@@ -188,22 +172,6 @@ def test_concavity_bulk(rng):
         lhs = renyi_entropy(mix, alpha)
         rhs = lam * renyi_entropy(p, alpha) + (1.0 - lam) * renyi_entropy(q, alpha)
         assert lhs >= rhs - 1e-12
-
-
-def test_min_entropy_convexity(rng):
-    # -ln is convex in the maximal probability; along mixtures this gives
-    # convexity whenever the two distributions share an argmax (sorting
-    # makes index 0 the common one). Without a shared argmax the mixture
-    # can be strictly flatter than either input and the inequality flips:
-    # mixing (1,0) with (0,1) yields min-entropy ln 2 > 0.
-    for _ in range(2000):
-        p = np.sort(rng.dirichlet([1.0, 1.0]))[::-1]
-        q = np.sort(rng.dirichlet([1.0, 1.0]))[::-1]
-        lam = rng.uniform()
-        mix = lam * p + (1.0 - lam) * q
-        lhs = min_entropy(mix)
-        rhs = lam * min_entropy(p) + (1.0 - lam) * min_entropy(q)
-        assert lhs <= rhs + 1e-12
 
 
 def test_continuity_at_order_one(rng):

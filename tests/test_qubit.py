@@ -6,15 +6,13 @@ import pytest
 from pauli_uncertainty.qubit import (
     BlochVector,
     PureStateAngles,
-    SpectralDecomposition,
     angles_to_bloch,
     pauli_eigenstate,
     sample_mixed,
     sample_pure,
-    spectral_to_bloch,
 )
 
-from _oracles import density_from_bloch, ket, pauli_expectation
+from _oracles import ket, pauli_expectation, sample_mixed_loop
 
 QUARTER_PI = math.pi / 4.0
 
@@ -47,49 +45,6 @@ def test_angles_to_bloch_unit_norm(rng):
     for _ in range(500):
         state = PureStateAngles(rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi))
         assert angles_to_bloch(state).norm == pytest.approx(1.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------- spectral
-
-
-def test_spectral_mixed_center():
-    d = SpectralDecomposition(0.5, 0.5, pauli_eigenstate("z", 1), pauli_eigenstate("z", -1))
-    assert spectral_to_bloch(d).norm == pytest.approx(0.0, abs=1e-15)
-
-
-def test_spectral_pure_limit_round_trip(rng):
-    for _ in range(100):
-        tau = rng.uniform(0, math.pi / 2)
-        phi = rng.uniform(0, 2 * math.pi)
-        psi = PureStateAngles(tau, phi)
-        anti = PureStateAngles(math.pi / 2 - tau, phi + math.pi)
-        d = SpectralDecomposition(1.0, 0.0, psi, anti)
-        a = spectral_to_bloch(d)
-        b = angles_to_bloch(psi)
-        assert abs(a.rx - b.rx) < 1e-12
-        assert abs(a.ry - b.ry) < 1e-12
-        assert abs(a.rz - b.rz) < 1e-12
-
-
-def test_spectral_weighted_x_mixture():
-    d = SpectralDecomposition(0.75, 0.25, pauli_eigenstate("x", 1), pauli_eigenstate("x", -1))
-    b = spectral_to_bloch(d)
-    assert b.rx == pytest.approx(0.5, abs=1e-15)
-    assert abs(b.ry) < 1e-15 and abs(b.rz) < 1e-12
-    rho = density_from_bloch(b.rx, b.ry, b.rz)
-    from _oracles import SIGMA
-
-    assert float(np.trace(rho @ SIGMA["x"]).real) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_spectral_rejects_non_orthogonal():
-    with pytest.raises(ValueError):
-        SpectralDecomposition(0.6, 0.4, pauli_eigenstate("z", 1), pauli_eigenstate("x", 1))
-
-
-def test_spectral_rejects_bad_trace():
-    with pytest.raises(ValueError):
-        SpectralDecomposition(0.6, 0.5, pauli_eigenstate("z", 1), pauli_eigenstate("z", -1))
 
 
 # -------------------------------------------------------------- eigenstates
@@ -175,15 +130,24 @@ def test_sample_pure_statistics():
 
 def test_sample_mixed_deterministic_and_inside_ball():
     a = sample_mixed(55, 1000)
-    assert a == sample_mixed(55, 1000)
-    norms = np.array([b.norm for b in a])
+    assert a.shape == (1000, 3)
+    assert np.array_equal(a, sample_mixed(55, 1000))
+    norms = np.linalg.norm(a, axis=1)
     assert np.all(norms < 1.0)
 
 
 def test_sample_mixed_radial_moment():
-    states = sample_mixed(99, 100_000)
-    norms = np.array([b.norm for b in states])
+    norms = np.linalg.norm(sample_mixed(99, 100_000), axis=1)
     assert abs(norms.mean() - 0.75) < 0.01
+
+
+@pytest.mark.parametrize(
+    "seed, count", [(0, 5_000), (1, 5_000), (55, 1_000), (20240817, 100_000)]
+)
+def test_sample_mixed_matches_per_state_loop(seed, count):
+    # same draws and the same (r sin theta) cos phi association as the
+    # one-state-at-a-time loop, so every row must agree bit for bit
+    assert np.array_equal(sample_mixed(seed, count), sample_mixed_loop(seed, count))
 
 
 def test_samplers_reject_bad_count():

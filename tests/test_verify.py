@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pauli_uncertainty import bounds
+from pauli_uncertainty import bounds, verify
 from pauli_uncertainty.verify import (
     GridSpec,
     derivative_sign_check,
@@ -16,7 +16,7 @@ from pauli_uncertainty.verify import (
     tsallis_sums_from_components,
 )
 
-from _oracles import entropic_sum_brute
+from _oracles import entropic_sum_brute, product_f_brute
 
 TWO_LN2 = 2.0 * math.log(2.0)
 QUARTER_PI = math.pi / 4.0
@@ -173,6 +173,15 @@ def test_sweep_band_certificate():
     assert report.alpha == gap_alpha
 
 
+def test_sweep_band_reports_applied_gate():
+    # just below the Shannon window the per-order gate 4 eps / (1 - alpha)
+    # exceeds VIOLATION_TOL, and the report must quote the gate it used
+    _, report = sweep_band([0.9999], GridSpec(21, 21))
+    eps = float(np.finfo(float).eps)
+    assert report.tolerance == pytest.approx(4.0 * eps / 1e-4, rel=1e-6)
+    assert report.tolerance > verify.VIOLATION_TOL
+
+
 def test_sweep_band_rejects_empty():
     with pytest.raises(ValueError):
         sweep_band([], GridSpec(51, 51))
@@ -223,6 +232,14 @@ def test_derivative_sign_check_passes(alpha):
     assert report.passed
     assert report.abs_error <= 1e-4
     assert report.claimed == pytest.approx(math.pi / 8.0, abs=1e-15)
+
+
+def test_product_f_matches_brute_oracle_exactly(rng):
+    for _ in range(2000):
+        alpha = rng.uniform(1e-3, 1.0)
+        tau = rng.uniform(0.0, math.pi / 2.0)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        assert verify._product_f(alpha, tau, phi) == product_f_brute(alpha, tau, phi)
 
 
 def test_derivative_sign_check_rejects_order_one():
