@@ -7,6 +7,7 @@ error (order outside (0, 1]).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -24,6 +25,8 @@ DEFAULT_SEED = 20240817
 DEFAULT_VERIFY_ALPHAS = (0.25, 0.5, 0.75, 1.0)
 #: Upper limit of verify --threads; each thread holds its own chunk buffers.
 MAX_THREADS = 64
+#: Upper limit of the number of orders an --alpha-range may expand to.
+MAX_ORDERS = 10_000
 
 
 class _InputError(ValueError):
@@ -36,8 +39,13 @@ def _parse_alpha_range(spec: str) -> list[float]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
         raise _InputError(f"bad --alpha-range {spec!r}, expected A:B:STEP") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise _InputError(f"bad --alpha-range {spec!r}: A, B and STEP must be finite")
     if step <= 0 or stop < start:
         raise _InputError(f"bad --alpha-range {spec!r}: need A <= B and STEP > 0")
+    # the range holds floor(span / step) + 1 orders; the quotient may be inf
+    if (stop + 1e-12 - start) / step >= MAX_ORDERS:
+        raise _InputError(f"bad --alpha-range {spec!r}: more than {MAX_ORDERS} orders")
     out = []
     k = 0
     while True:

@@ -17,6 +17,8 @@ TWO_PI = 2.0 * math.pi
 #: Bloch norm at or above 1 - PURITY_TOL counts as a pure state.
 PURITY_TOL = 1e-9
 
+_MAX_RADIUS = 1.0 - 4.0 * float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class PureStateAngles:
@@ -126,8 +128,11 @@ def sample_mixed(seed: int, count: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     cos_theta = rng.uniform(-1.0, 1.0, size=count)
     phi = rng.uniform(0.0, TWO_PI, size=count)
-    # radius = U**(1/3) keeps the radial density 3 r**2 of the uniform ball;
-    # U in [0, 1) guarantees the norm stays strictly below 1.
-    radius = rng.random(count) ** (1.0 / 3.0)
+    # radius = U**(1/3) keeps the radial density 3 r**2 of the uniform ball.
+    # The largest U, 1 - 2**-53, rounds to radius 1.0, and rounding in the
+    # components and in a norm taken of them can lift the computed norm to
+    # r (1 + 7u), u = 2**-53. Capping r at 1 - 8u keeps every computed norm
+    # strictly below 1 and moves only the top 22 of the 2**53 values of U.
+    radius = np.minimum(rng.random(count) ** (1.0 / 3.0), _MAX_RADIUS)
     r_sin = radius * np.sqrt(1.0 - cos_theta**2)
     return np.column_stack((r_sin * np.cos(phi), r_sin * np.sin(phi), radius * cos_theta))

@@ -5,10 +5,18 @@ The grid and sampling scans here recompute entropies from first principles
 reusing the closed forms of :mod:`.bounds` except as comparison targets.
 Reductions run in fixed index order, so reports are byte-identical for any
 grid chunking or thread count.
+
+One scan of a grid yields its minimum and its maximum, and the scan is
+memoized on its last (order, grid, threads, Tsallis) key, so the minimum
+and maximum reports for one (order, grid) share a single scan. A scan
+works through row chunks of at most 131,072 grid points (and at most 64
+rows), so the memory of its temporaries per thread does not grow with the
+width of the grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,7 +51,11 @@ _FD_STEP = 1e-6          # central-difference step for derivative checks
 _FD_SIGN_TOL = 1e-10     # |derivative| below this counts as zero
 _BOUNDARY_FLAT_TOL = 1e-9
 
-_ROWS_PER_CHUNK = 64
+#: A scan chunk holds at most this many grid points per temporary array
+#: (and never more than _MAX_CHUNK_ROWS rows), so memory per thread stays
+#: flat however wide the phi axis is.
+_CHUNK_ELEMENTS = 131_072
+_MAX_CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -114,10 +126,11 @@ class VerificationReport:
 
 
 def _neg_xlnx(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    mask = p > 0.0
-    out[mask] = -p[mask] * np.log(p[mask])
-    return out
+    # where= skips p <= 0 without a boolean gather/scatter; skipped slots
+    # keep the +0.0 fill, and ln(p) * -p rounds exactly like -p * ln(p)
+    positive = p > 0.0
+    out = np.log(p, out=np.zeros_like(p), where=positive)
+    return np.multiply(out, -p, out=out, where=positive)
 
 
 def _power_sum(alpha: float, c):
@@ -170,10 +183,11 @@ class _ScanResult:
 
 def _scan_chunk(order: EntropyOrder, tau_chunk, phi, row_offset, n_phi, want_tsallis):
     sin2t = np.sin(2.0 * tau_chunk)[:, None]
-    cos2t = np.cos(2.0 * tau_chunk)[:, None]
+    # the z component depends on tau only: one (rows, 1) column, which the
+    # kernels broadcast, so its entropy term is evaluated once per row
+    z = np.cos(2.0 * tau_chunk)[:, None]
     x = sin2t * np.cos(phi)[None, :]
     y = sin2t * np.sin(phi)[None, :]
-    z = np.broadcast_to(cos2t, x.shape)
     sums = renyi_sums_from_components(order, x, y, z)
     flat = sums.ravel()
     i_min = int(np.argmin(flat))
@@ -185,15 +199,18 @@ def _scan_chunk(order: EntropyOrder, tau_chunk, phi, row_offset, n_phi, want_tsa
     return _ScanResult(float(flat[i_min]), base + i_min, float(flat[i_max]), base + i_max, ts_max)
 
 
-def _scan_grid(a: OrderLike, g: GridSpec, n_threads: int = 1, want_tsallis: bool = False) -> _ScanResult:
+def _chunk_rows(n_phi: int) -> int:
+    return max(1, min(_MAX_CHUNK_ROWS, _CHUNK_ELEMENTS // n_phi))
+
+
+def _scan_grid_uncached(
+    order: EntropyOrder, g: GridSpec, n_threads: int, want_tsallis: bool
+) -> _ScanResult:
     """Chunked exhaustive scan; ties broken by the lowest flat index."""
-    order = as_order(a)
     tau = g.tau_values()
     phi = g.phi_values()
-    chunks = [
-        (tau[lo : lo + _ROWS_PER_CHUNK], lo)
-        for lo in range(0, g.n_tau, _ROWS_PER_CHUNK)
-    ]
+    rows = _chunk_rows(g.n_phi)
+    chunks = [(tau[lo : lo + rows], lo) for lo in range(0, g.n_tau, rows)]
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         partials = list(
             pool.map(
@@ -209,6 +226,23 @@ def _scan_grid(a: OrderLike, g: GridSpec, n_threads: int = 1, want_tsallis: bool
     return _ScanResult(
         best_min.minimum, best_min.min_index, best_max.maximum, best_max.max_index, ts_max
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _last_scan(
+    order: EntropyOrder, g: GridSpec, n_threads: int, want_tsallis: bool
+) -> _ScanResult:
+    return _scan_grid_uncached(order, g, n_threads, want_tsallis)
+
+
+def _scan_grid(a: OrderLike, g: GridSpec, n_threads: int = 1, want_tsallis: bool = False) -> _ScanResult:
+    """Grid scan memoized on its last key.
+
+    One scan yields both extrema, so the minimum and maximum reports for
+    the same (order, grid), asked for back to back, share it. The thread
+    count stays in the key so that every thread count really scans.
+    """
+    return _last_scan(as_order(a), g, n_threads, want_tsallis)
 
 
 def _grid_location(g: GridSpec, flat_index: int) -> tuple[float, float]:

@@ -78,3 +78,11 @@ def product_f_brute(alpha: float, tau: float, phi: float) -> float:
     for c in (sin2t * math.cos(phi), sin2t * math.sin(phi), math.cos(2.0 * tau)):
         out *= ((1.0 + c) / 2.0) ** alpha + ((1.0 - c) / 2.0) ** alpha
     return out
+
+
+def neg_xlnx_masked(p: np.ndarray) -> np.ndarray:
+    """-p ln p with 0 at p <= 0 by boolean gather/scatter, the reference for verify._neg_xlnx."""
+    out = np.zeros_like(p)
+    mask = p > 0.0
+    out[mask] = -p[mask] * np.log(p[mask])
+    return out

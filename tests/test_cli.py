@@ -7,6 +7,9 @@ from pauli_uncertainty.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    MAX_ORDERS,
+    _InputError,
+    _parse_alpha_range,
     main,
 )
 
@@ -160,7 +163,63 @@ def test_band_bad_range(capsys):
     assert code == EXIT_DOMAIN_ERROR
 
 
+@pytest.mark.parametrize(
+    "spec", ["0:1:nan", "0:inf:0.1", "nan:1:0.1", "-inf:1:0.1", "0:1:inf", "0:1:-inf"]
+)
+def test_alpha_range_rejects_non_finite(capsys, spec):
+    with pytest.raises(_InputError):
+        _parse_alpha_range(spec)
+    for command in ("band", "verify"):
+        # the = form keeps argparse from reading "-inf:..." as an option
+        code, out, err = run(capsys, command, f"--alpha-range={spec}")
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert "finite" in err
+
+
+def test_alpha_range_order_count_is_bounded(capsys):
+    assert len(_parse_alpha_range(f"1:{MAX_ORDERS}:1")) == MAX_ORDERS
+    # each of these would expand past the limit; the count is taken from
+    # the arguments, so the list is never built
+    for spec in (f"1:{MAX_ORDERS + 1}:1", "0:1:1e-12", "0:1:5e-324", "-1e308:1e308:1"):
+        with pytest.raises(_InputError, match="orders"):
+            _parse_alpha_range(spec)
+    code, out, err = run(capsys, "band", "--alpha-range", "0:1:1e-12")
+    assert code == EXIT_INPUT_ERROR and out == "" and "orders" in err
+
+
 # -------------------------------------------------------------------- verify
+
+GOLDEN_VERIFY_101 = """\
+check=grid_min_sum alpha=0.25 claimed=1.38629436112 observed=1.38629436112 err=0 passed=true
+check=grid_max_sum_pure alpha=0.25 claimed=1.93066526079 observed=1.93066395829 err=1.30249583408e-06 passed=true
+check=impurity_gap_scan alpha=0.25 claimed=1.38629436112 observed=1.70160061249 err=0 passed=true
+check=derivative_sign_check alpha=0.25 claimed=0.392699081699 observed=0.392699081682 err=1.62775348755e-11 passed=true
+check=grid_min_sum alpha=0.5 claimed=1.38629436112 observed=1.38629436112 err=0 passed=true
+check=grid_max_sum_pure alpha=0.5 claimed=1.79072907134 observed=1.79072706639 err=2.00495384961e-06 passed=true
+check=impurity_gap_scan alpha=0.5 claimed=1.38629436112 observed=1.51796510142 err=0 passed=true
+check=derivative_sign_check alpha=0.5 claimed=0.392699081699 observed=0.392699081699 err=3.29958282919e-13 passed=true
+check=grid_min_sum alpha=0.75 claimed=1.38629436112 observed=1.38629436112 err=2.22044604925e-16 passed=true
+check=grid_max_sum_pure alpha=0.75 claimed=1.66234774766 observed=1.66234571192 err=2.03574304547e-06 passed=true
+check=impurity_gap_scan alpha=0.75 claimed=1.38629436112 observed=1.44236270999 err=0 passed=true
+check=derivative_sign_check alpha=0.75 claimed=0.392699081699 observed=0.392699081703 err=3.96549459936e-12 passed=true
+check=grid_min_sum alpha=1 claimed=1.38629436112 observed=1.38629436112 err=0 passed=true
+check=grid_max_sum_pure alpha=1 claimed=1.54712020939 observed=1.54711873395 err=1.47543608309e-06 passed=true
+check=grid_min_sum alpha=0.9999 claimed=1.38629436112 observed=1.38629436112 err=1.23656640483e-12 passed=true
+check=grid_max_sum_pure alpha=0.9999 claimed=1.54716356994 observed=1.54716209419 err=1.47575479992e-06 passed=true
+check=impurity_gap_scan alpha=0.9999 claimed=1.38629436112 observed=1.41110160858 err=0 passed=true
+check=band_sweep alpha=0.5 claimed=0 observed=-6.26368093615e-07 err=0 passed=true
+info band_rel_gap alpha=0.5 observed=0.0250317494126
+"""
+
+
+def test_verify_golden_report(capsys):
+    # the exact report text of a small default-order run; speed-ups of the
+    # scans must leave every digit of it unchanged
+    code, out, err = run(capsys, "verify", "--grid", "101x101", "--samples", "2000", "--points", "50")
+    assert code == EXIT_OK
+    assert err == ""
+    assert out == GOLDEN_VERIFY_101
 
 
 def test_verify_quick_run(capsys):

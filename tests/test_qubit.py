@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pauli_uncertainty import qubit
 from pauli_uncertainty.qubit import (
     BlochVector,
     PureStateAngles,
@@ -148,6 +149,27 @@ def test_sample_mixed_matches_per_state_loop(seed, count):
     # same draws and the same (r sin theta) cos phi association as the
     # one-state-at-a-time loop, so every row must agree bit for bit
     assert np.array_equal(sample_mixed(seed, count), sample_mixed_loop(seed, count))
+
+
+def test_sample_mixed_largest_draw_stays_inside_ball(monkeypatch):
+    # force the largest radial draw, U = 1 - 2**-53, whose cube root rounds
+    # to 1.0; the directions stay genuine draws
+    real_default_rng = np.random.default_rng
+
+    class LargestRadialDraw:
+        def __init__(self, seed):
+            self._rng = real_default_rng(seed)
+
+        def uniform(self, *args, **kwargs):
+            return self._rng.uniform(*args, **kwargs)
+
+        def random(self, size):
+            return np.full(size, 1.0 - 2.0**-53)
+
+    monkeypatch.setattr(qubit.np.random, "default_rng", LargestRadialDraw)
+    rows = sample_mixed(3, 200_000)
+    assert np.max(np.linalg.norm(rows, axis=1)) < 1.0
+    assert np.max(np.sqrt(np.sum(rows * rows, axis=1))) < 1.0
 
 
 def test_samplers_reject_bad_count():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pauli_uncertainty import bounds, verify
+from pauli_uncertainty import bounds, cli, verify
 from pauli_uncertainty.verify import (
     GridSpec,
     derivative_sign_check,
@@ -16,7 +16,7 @@ from pauli_uncertainty.verify import (
     tsallis_sums_from_components,
 )
 
-from _oracles import entropic_sum_brute, product_f_brute
+from _oracles import entropic_sum_brute, neg_xlnx_masked, product_f_brute
 
 TWO_LN2 = 2.0 * math.log(2.0)
 QUARTER_PI = math.pi / 4.0
@@ -54,6 +54,17 @@ def test_vectorized_sums_match_scalar_oracle(rng):
         for k in range(comps.shape[0]):
             want = entropic_sum_brute(alpha, *comps[k])
             assert got[k] == pytest.approx(want, abs=1e-12)
+
+
+def test_neg_xlnx_matches_masked_reference(rng):
+    p = rng.random((37, 53))
+    p[0, :4] = [0.0, 1.0, 5e-324, 0.5]
+    got = verify._neg_xlnx(p)
+    want = neg_xlnx_masked(p)
+    # compare bit patterns, so that +0.0 at p == 0 and -0.0 at p == 1 count
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert math.copysign(1.0, got[0, 0]) == 1.0
+    assert math.copysign(1.0, got[0, 1]) == -1.0
 
 
 def test_vectorized_tsallis_center():
@@ -136,6 +147,70 @@ def test_reports_are_deterministic_across_threads():
         assert grid_min_sum(0.5, g, n_threads=workers) == base_min
         assert grid_max_sum_pure(0.5, g, n_threads=workers) == base_max
     assert grid_min_sum(0.5, g).as_line() == base_min.as_line()
+
+
+@pytest.mark.parametrize("g", [GridSpec(150, 97), GridSpec(130, 64, "full")])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_scan_is_identical_for_any_chunking(monkeypatch, g, alpha):
+    order = bounds.supported_order(alpha)
+    results = []
+    for rows in (1, 7, 64, g.n_tau):
+        monkeypatch.setattr(verify, "_chunk_rows", lambda n_phi, rows=rows: rows)
+        results.append(verify._scan_grid_uncached(order, g, 2, True))
+    assert all(r == results[0] for r in results)
+
+
+def test_chunk_rows_follow_the_element_budget():
+    assert verify._chunk_rows(2001) == 64
+    assert verify._chunk_rows(2048) == 64
+    assert verify._chunk_rows(4096) == 32
+    assert verify._chunk_rows(100_000) == 1
+
+
+def _count_scans(monkeypatch):
+    verify._last_scan.cache_clear()
+    keys = []
+    uncached = verify._scan_grid_uncached
+
+    def counting(order, g, n_threads, want_tsallis):
+        keys.append((order.alpha, g, n_threads, want_tsallis))
+        return uncached(order, g, n_threads, want_tsallis)
+
+    monkeypatch.setattr(verify, "_scan_grid_uncached", counting)
+    return keys
+
+
+def test_verify_scans_each_order_and_grid_once(monkeypatch, capsys):
+    keys = _count_scans(monkeypatch)
+    code = cli.main(
+        ["verify", "--alpha-range", "0.5:1.0:0.5", "--grid", "21x21", "--samples", "200", "--points", "16"]
+    )
+    capsys.readouterr()
+    assert code == cli.EXIT_OK
+    g = GridSpec(21, 21)
+    # min and max share one scan per order; the sweep scans with Tsallis
+    assert keys == [
+        (0.5, g, 1, False),
+        (1.0, g, 1, False),
+        (1.0 - 1e-4, g, 1, False),
+        (0.5, g, 1, True),
+        (1.0, g, 1, True),
+    ]
+
+
+def test_scan_memo_misses_on_any_key_change(monkeypatch):
+    keys = _count_scans(monkeypatch)
+    g = GridSpec(21, 23)
+    first = verify._scan_grid(0.5, g)
+    assert verify._scan_grid(bounds.supported_order(0.5), g, 1, False) is first
+    assert len(keys) == 1
+    verify._scan_grid(0.75, g)
+    verify._scan_grid(0.75, GridSpec(23, 21))
+    verify._scan_grid(0.75, GridSpec(23, 21), n_threads=2)
+    verify._scan_grid(0.75, GridSpec(23, 21), n_threads=2, want_tsallis=True)
+    # a single entry: going back to the first key scans again
+    assert verify._scan_grid(0.5, g) == first
+    assert len(keys) == 6
 
 
 def test_grid_refinement_consistency():
