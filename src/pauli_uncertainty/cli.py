@@ -25,6 +25,12 @@ DEFAULT_SEED = 20240817
 DEFAULT_VERIFY_ALPHAS = (0.25, 0.5, 0.75, 1.0)
 #: Upper limit of verify --threads; each thread holds its own chunk buffers.
 MAX_THREADS = 64
+#: Upper limits of verify --samples and --points: each sample or point is a
+#: row of every temporary array of its check (~175 MB at 1e6 samples).
+MAX_SAMPLES = MAX_POINTS = 10**6
+#: Upper limit of n_tau * n_phi for verify --grid; a scan of 1e8 points
+#: takes 4.5 s (power orders) to 7 s (Shannon) on one thread.
+MAX_GRID_POINTS = 10**8
 #: Upper limit of the number of orders an --alpha-range may expand to.
 MAX_ORDERS = 10_000
 
@@ -55,6 +61,15 @@ def _parse_alpha_range(spec: str) -> list[float]:
         out.append(round(val, 12))
         k += 1
     return out
+
+
+def _orders(args, default: Sequence[float]) -> list[float]:
+    """Orders from --alpha or --alpha-range, which exclude each other."""
+    if args.alpha is not None and args.alpha_range is not None:
+        raise _InputError("give either --alpha or --alpha-range, not both")
+    if args.alpha_range is not None:
+        return _parse_alpha_range(args.alpha_range)
+    return [args.alpha] if args.alpha is not None else list(default)
 
 
 def _parse_floats(spec: str, n: int, what: str) -> list[float]:
@@ -156,6 +171,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_saturate(args) -> int:
+    # at sqrt(tol) >= 1/2 the uniform-axis test accepts every distribution,
+    # so the certificate would be vacuous; nan fails the comparison too
+    if not (0.0 <= args.tol < 0.25):
+        raise _InputError(f"--tol must be finite and in [0, 0.25), got {args.tol}")
     triple, pure, label = _parse_state(args)
     order = bounds.supported_order(args.alpha)
     report = bounds.check_lower(triple, order, args.tol)
@@ -170,12 +189,7 @@ def cmd_saturate(args) -> int:
 
 
 def cmd_band(args) -> int:
-    if args.alpha_range is not None:
-        alphas = _parse_alpha_range(args.alpha_range)
-    elif args.alpha is not None:
-        alphas = [args.alpha]
-    else:
-        alphas = _parse_alpha_range("0.01:1.0:0.01")
+    alphas = _orders(args, _parse_alpha_range("0.01:1.0:0.01"))
     rows = ["alpha,lower,B_renyi,A_tsallis"]
     for alpha in alphas:
         pt = bounds.band_bounds(alpha)
@@ -194,15 +208,19 @@ def cmd_band(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not (1 <= args.threads <= MAX_THREADS):
-        raise _InputError(f"--threads must be in [1, {MAX_THREADS}], got {args.threads}")
-    if args.alpha_range is not None:
-        alphas = _parse_alpha_range(args.alpha_range)
-    elif args.alpha is not None:
-        alphas = [args.alpha]
-    else:
-        alphas = list(DEFAULT_VERIFY_ALPHAS)
+    for name, value, limit in (
+        ("--threads", args.threads, MAX_THREADS),
+        ("--samples", args.samples, MAX_SAMPLES),
+        ("--points", args.points, MAX_POINTS),
+    ):
+        if not (1 <= value <= limit):
+            raise _InputError(f"{name} must be in [1, {limit}], got {value}")
+    if args.seed < 0:
+        raise _InputError(f"--seed must be >= 0, got {args.seed}")
     grid = args.grid if args.grid is not None else verify.GridSpec(2001, 2001)
+    if grid.n_tau * grid.n_phi > MAX_GRID_POINTS:
+        raise _InputError(f"--grid has more than {MAX_GRID_POINTS} points")
+    alphas = _orders(args, DEFAULT_VERIFY_ALPHAS)
     injected = 0.01 if args.inject_low_claim else None
 
     reports = []

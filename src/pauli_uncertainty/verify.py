@@ -1,10 +1,10 @@
 """Brute-force re-derivation of every claimed extremum and band property.
 
-The grid and sampling scans here recompute entropies from first principles
-(outcome probabilities, powers, logarithms) in vectorized numpy, without
-reusing the closed forms of :mod:`.bounds` except as comparison targets.
-Reductions run in fixed index order, so reports are byte-identical for any
-grid chunking or thread count.
+The grid, sampling and finite-difference scans here recompute entropies
+and power sums from first principles (outcome probabilities, powers,
+logarithms) in vectorized numpy, without reusing the closed forms of
+:mod:`.bounds` except as comparison targets. Reductions run in fixed index
+order, so reports are byte-identical for any grid chunking or thread count.
 
 One scan of a grid yields its minimum and its maximum, and the scan is
 memoized on its last (order, grid, threads, Tsallis) key, so the minimum
@@ -48,7 +48,6 @@ def _violation_tol(order: EntropyOrder) -> float:
 EXTREMUM_TOL_FACTOR = 4.0
 
 _FD_STEP = 1e-6          # central-difference step for derivative checks
-_FD_SIGN_TOL = 1e-10     # |derivative| below this counts as zero
 _BOUNDARY_FLAT_TOL = 1e-9
 
 #: A scan chunk holds at most this many grid points per temporary array
@@ -425,28 +424,34 @@ def impurity_gap_scan(a: OrderLike, seed: int, count: int) -> VerificationReport
     )
 
 
-def _product_f(alpha: float, tau: float, phi: float) -> float:
-    """Power-sum product from raw components; full-domain, first principles."""
-    sin2t = math.sin(2.0 * tau)
-    # an explicit product: math.prod over a generator doubles the cost of
-    # this function, which the derivative check calls ~1e5 times per order
+def _product_f(alpha: float, tau, phi):
+    """Power-sum product from raw angles (floats or broadcastable arrays)."""
+    sin2t = np.sin(2.0 * tau)
     return (
-        _power_sum(alpha, sin2t * math.cos(phi))
-        * _power_sum(alpha, sin2t * math.sin(phi))
-        * _power_sum(alpha, math.cos(2.0 * tau))
+        _power_sum(alpha, sin2t * np.cos(phi))
+        * _power_sum(alpha, sin2t * np.sin(phi))
+        * _power_sum(alpha, np.cos(2.0 * tau))
     )
 
 
-def _fd_dphi(alpha: float, tau: float, phi: float) -> float:
+def _fd_dphi(alpha: float, tau, phi):
     return (
         _product_f(alpha, tau, phi + _FD_STEP) - _product_f(alpha, tau, phi - _FD_STEP)
     ) / (2.0 * _FD_STEP)
 
 
-def _fd_dtau(alpha: float, tau: float, phi: float) -> float:
+def _fd_dtau(alpha: float, tau, phi):
     return (
         _product_f(alpha, tau + _FD_STEP, phi) - _product_f(alpha, tau - _FD_STEP, phi)
     ) / (2.0 * _FD_STEP)
+
+
+def _fd_sign_gate(alpha: float) -> float:
+    # a product value is at most 8**(1 - alpha) with <= 14 roundings of
+    # eps/2 (per axis: per term an add and a pow of <= 1 ulp, their sum;
+    # then two products), so a difference quotient over 2 h is off by
+    # <= 7 eps 8**(1 - alpha) / h; k = 8 rounds that up
+    return 8.0 * _EPS * 8.0 ** (1.0 - alpha) / _FD_STEP
 
 
 def derivative_sign_check(a: OrderLike, n_points: int) -> VerificationReport:
@@ -456,7 +461,8 @@ def derivative_sign_check(a: OrderLike, n_points: int) -> VerificationReport:
     the reduced rectangle and flat in phi on the tau = 0 edge; along
     phi = 0 it strictly increases on (0, pi/8), strictly decreases on
     (pi/8, pi/4), and the sign change sits at pi/8 (located by bisection
-    to within the reported tolerance).
+    to within the reported tolerance). Differences within the rounding
+    noise bound :func:`_fd_sign_gate` count as zero.
     """
     order = bounds.supported_order(a, allow_one=False)
     alpha = order.alpha
@@ -465,28 +471,22 @@ def derivative_sign_check(a: OrderLike, n_points: int) -> VerificationReport:
     margin = 0.02
     quarter = math.pi / 4.0
     eighth = math.pi / 8.0
+    gate = _fd_sign_gate(alpha)
 
-    m = max(2, math.isqrt(n_points))
-    taus = np.linspace(margin, quarter - margin, m)
-    phis = np.linspace(margin, quarter - margin, m)
-    interior_ok = all(
-        _fd_dphi(alpha, t, p) >= -_FD_SIGN_TOL
-        for t in taus.tolist()
-        for p in phis.tolist()
-    )
+    inner = np.linspace(margin, quarter - margin, max(2, math.isqrt(n_points)))
+    interior_ok = np.all(_fd_dphi(alpha, inner[:, None], inner[None, :]) >= -gate)
 
     rising = np.linspace(margin, eighth - margin, n_points)
     falling = np.linspace(eighth + margin, quarter - margin, n_points)
-    line_ok = all(_fd_dtau(alpha, t, 0.0) > _FD_SIGN_TOL for t in rising.tolist()) and all(
-        _fd_dtau(alpha, t, 0.0) < -_FD_SIGN_TOL for t in falling.tolist()
+    line_ok = np.all(_fd_dtau(alpha, rising, 0.0) > gate) and np.all(
+        _fd_dtau(alpha, falling, 0.0) < -gate
     )
 
-    edge_ok = all(
-        abs(_fd_dphi(alpha, 0.0, p)) <= _BOUNDARY_FLAT_TOL
-        for p in np.linspace(0.01, quarter - 0.01, min(n_points, 32)).tolist()
-    )
+    edge = np.linspace(0.01, quarter - 0.01, min(n_points, 32))
+    edge_ok = np.all(np.abs(_fd_dphi(alpha, 0.0, edge)) <= _BOUNDARY_FLAT_TOL)
 
-    # bisect the sign change of the phi = 0 tau-derivative around pi/8
+    # bisect the sign change of the phi = 0 tau-derivative around pi/8 on
+    # Python floats: array pow may differ from libm's and move the crossing
     lo, hi = eighth - 0.02, eighth + 0.02
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -498,7 +498,7 @@ def derivative_sign_check(a: OrderLike, n_points: int) -> VerificationReport:
     crossing_err = abs(crossing - eighth)
 
     tol = 1e-4
-    passed = interior_ok and line_ok and edge_ok and crossing_err <= tol
+    passed = bool(interior_ok and line_ok and edge_ok) and crossing_err <= tol
     return VerificationReport(
         check="derivative_sign_check",
         alpha=alpha,

@@ -86,3 +86,56 @@ def neg_xlnx_masked(p: np.ndarray) -> np.ndarray:
     mask = p > 0.0
     out[mask] = -p[mask] * np.log(p[mask])
     return out
+
+
+def derivative_sign_check_loop(a, n_points: int):
+    """The derivative sign check one Python-float point at a time.
+
+    The reference for verify.derivative_sign_check: the same points, gate
+    and bisection, on the math-module product of product_f_brute.
+    """
+    from pauli_uncertainty import bounds, verify
+
+    alpha = bounds.supported_order(a, allow_one=False).alpha
+    h = verify._FD_STEP
+    gate = verify._fd_sign_gate(alpha)
+
+    def dphi(t, p):
+        return (product_f_brute(alpha, t, p + h) - product_f_brute(alpha, t, p - h)) / (2.0 * h)
+
+    def dtau(t, p):
+        return (product_f_brute(alpha, t + h, p) - product_f_brute(alpha, t - h, p)) / (2.0 * h)
+
+    margin = 0.02
+    quarter = math.pi / 4.0
+    eighth = math.pi / 8.0
+    inner = np.linspace(margin, quarter - margin, max(2, math.isqrt(n_points))).tolist()
+    interior_ok = all(dphi(t, p) >= -gate for t in inner for p in inner)
+    rising = np.linspace(margin, eighth - margin, n_points).tolist()
+    falling = np.linspace(eighth + margin, quarter - margin, n_points).tolist()
+    line_ok = all(dtau(t, 0.0) > gate for t in rising) and all(
+        dtau(t, 0.0) < -gate for t in falling
+    )
+    edge_ok = all(
+        abs(dphi(0.0, p)) <= verify._BOUNDARY_FLAT_TOL
+        for p in np.linspace(0.01, quarter - 0.01, min(n_points, 32)).tolist()
+    )
+    lo, hi = eighth - 0.02, eighth + 0.02
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if dtau(mid, 0.0) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    crossing = 0.5 * (lo + hi)
+    crossing_err = abs(crossing - eighth)
+    return verify.VerificationReport(
+        check="derivative_sign_check",
+        alpha=alpha,
+        claimed=eighth,
+        observed=crossing,
+        abs_error=crossing_err,
+        tolerance=1e-4,
+        passed=interior_ok and line_ok and edge_ok and crossing_err <= 1e-4,
+        location=(crossing, 0.0),
+    )

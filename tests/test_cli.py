@@ -2,12 +2,16 @@ import math
 
 import pytest
 
+from pauli_uncertainty import verify
 from pauli_uncertainty.cli import (
     EXIT_DOMAIN_ERROR,
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    MAX_GRID_POINTS,
     MAX_ORDERS,
+    MAX_POINTS,
+    MAX_SAMPLES,
     _InputError,
     _parse_alpha_range,
     main,
@@ -113,6 +117,22 @@ def test_saturate_extremal_state(capsys):
     assert "kind=upper-saturated" in out
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0.7", "0.25"])
+def test_saturate_rejects_tol_outside_range(capsys, tol):
+    # at sqrt(tol) >= 1/2 the uniform-axis test accepts every distribution:
+    # tol = inf or 0.7 used to certify the maximally mixed state
+    code, out, err = run(capsys, "saturate", "--bloch", "0,0,0", "--alpha", "0.5", f"--tol={tol}")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert "--tol" in err
+
+
+def test_saturate_accepts_tol_just_below_a_quarter(capsys):
+    code, out, _ = run(capsys, "saturate", "--bloch", "0,0,0", "--alpha", "0.5", "--tol", "0.2499")
+    assert code == EXIT_OK
+    assert "kind=interior" in out
+
+
 # ---------------------------------------------------------------------- band
 
 
@@ -161,6 +181,14 @@ def test_band_bad_range(capsys):
     assert code == EXIT_INPUT_ERROR
     code, _, err = run(capsys, "band", "--alpha", "1.7")
     assert code == EXIT_DOMAIN_ERROR
+
+
+@pytest.mark.parametrize("command", ["band", "verify"])
+def test_alpha_and_alpha_range_are_exclusive(capsys, command):
+    code, out, err = run(capsys, command, "--alpha", "0.3", "--alpha-range", "0.5:0.6:0.1")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert "--alpha-range" in err
 
 
 @pytest.mark.parametrize(
@@ -280,6 +308,38 @@ def test_verify_rejects_threads_out_of_range(capsys, threads):
     assert code == EXIT_INPUT_ERROR
     assert out == ""
     assert "--threads" in err
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--samples", "0"),
+        ("--samples", str(MAX_SAMPLES + 1)),
+        ("--samples", "10000000000000"),
+        ("--points", "0"),
+        ("--points", str(MAX_POINTS + 1)),
+        ("--points", "10000000000000"),
+        ("--seed", "-1"),
+        ("--grid", f"100000x{MAX_GRID_POINTS // 100_000 + 1}"),
+    ],
+)
+def test_verify_rejects_size_arguments_before_any_work(monkeypatch, capsys, option, value):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before the arguments were checked")
+
+    monkeypatch.setattr(verify, "grid_min_sum", no_scan)
+    code, out, err = run(capsys, "verify", option, value)
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert option in err
+
+
+@pytest.mark.parametrize("alpha", ["0.0001", "0.999"])
+def test_verify_passes_near_the_ends_of_the_order_range(capsys, alpha):
+    # both used to fail the derivative check on a flat 1e-10 sign gate
+    code, out, _ = run(capsys, "verify", "--alpha", alpha, "--grid", "101x101", "--samples", "2000")
+    assert code == EXIT_OK
+    assert "passed=false" not in out
 
 
 def test_verify_threads_identical_output(capsys):

@@ -16,7 +16,12 @@ from pauli_uncertainty.verify import (
     tsallis_sums_from_components,
 )
 
-from _oracles import entropic_sum_brute, neg_xlnx_masked, product_f_brute
+from _oracles import (
+    derivative_sign_check_loop,
+    entropic_sum_brute,
+    neg_xlnx_masked,
+    product_f_brute,
+)
 
 TWO_LN2 = 2.0 * math.log(2.0)
 QUARTER_PI = math.pi / 4.0
@@ -301,7 +306,9 @@ def test_diagonal_family_identity():
 # ------------------------------------------------------------- derivatives
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.9])
+# the orders near 0 and 1 once failed on a flat 1e-10 sign gate, below
+# the rounding noise of a 1e-6 difference quotient
+@pytest.mark.parametrize("alpha", [1.1e-6, 1e-5, 1e-4, 0.5, 0.9, 0.999, 0.999999])
 def test_derivative_sign_check_passes(alpha):
     report = derivative_sign_check(alpha, 200)
     assert report.passed
@@ -315,6 +322,33 @@ def test_product_f_matches_brute_oracle_exactly(rng):
         tau = rng.uniform(0.0, math.pi / 2.0)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         assert verify._product_f(alpha, tau, phi) == product_f_brute(alpha, tau, phi)
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 50, 1000])
+@pytest.mark.parametrize("alpha", [1.1e-6, 1e-4, 0.2, 0.25, 0.5, 0.8, 0.999])
+def test_derivative_sign_check_matches_per_point_reference(alpha, n_points):
+    assert derivative_sign_check(alpha, n_points) == derivative_sign_check_loop(alpha, n_points)
+
+
+def test_product_f_on_arrays_within_8_ulp_of_oracle(rng):
+    # array pow may round differently from libm's in the last bits
+    tau = rng.uniform(0.0, math.pi / 2.0, size=(40, 1))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=(1, 50))
+    for alpha in (1e-3, 0.3, 0.77, 0.999):
+        got = verify._product_f(alpha, tau, phi)
+        assert got.shape == (40, 50)
+        want = np.array(
+            [[product_f_brute(alpha, t, p) for p in phi[0].tolist()] for t in tau[:, 0].tolist()]
+        )
+        assert np.all(np.abs(got - want) <= 8.0 * np.spacing(want))
+
+
+@pytest.mark.parametrize("alpha", [1.1e-6, 0.25, 0.5, 0.999])
+def test_derivative_sign_check_fails_for_reciprocal_product(monkeypatch, alpha):
+    # negative control: 1 / f flips every derivative sign
+    product = verify._product_f
+    monkeypatch.setattr(verify, "_product_f", lambda a, t, p: 1.0 / product(a, t, p))
+    assert not derivative_sign_check(alpha, 50).passed
 
 
 def test_derivative_sign_check_rejects_order_one():
