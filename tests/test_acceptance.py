@@ -62,7 +62,7 @@ def test_criterion_01_lower_bound_reproduction():
     step = QUARTER_PI / (BIG_GRID.n_tau - 1)
     for alpha in ALPHAS:
         start = time.monotonic()
-        report = grid_min_sum(alpha, BIG_GRID, tol=1e-6)
+        report = grid_min_sum(alpha, BIG_GRID)
         elapsed = time.monotonic() - start
         worst_time = max(worst_time, elapsed)
         worst_err = max(worst_err, abs(report.observed - TWO_LN2))
@@ -85,7 +85,7 @@ def test_criterion_02_upper_bound_reproduction():
     structure_ok = True
     step = QUARTER_PI / (BIG_GRID.n_tau - 1)
     for alpha in ALPHAS:
-        report = grid_max_sum_pure(alpha, BIG_GRID, tol=1e-6)
+        report = grid_max_sum_pure(alpha, BIG_GRID)
         target = 3.0 * rho_hat(alpha)
         worst_err = max(worst_err, target - report.observed)
         tau, phi = report.location

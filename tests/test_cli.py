@@ -8,7 +8,6 @@ from pauli_uncertainty.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
-    MAX_GRID_POINTS,
     MAX_ORDERS,
     MAX_POINTS,
     MAX_SAMPLES,
@@ -16,6 +15,7 @@ from pauli_uncertainty.cli import (
     _parse_alpha_range,
     main,
 )
+from pauli_uncertainty.verify import MAX_GRID_POINTS
 
 TWO_LN2 = 2.0 * math.log(2.0)
 TAU_STAR = math.acos(1.0 / math.sqrt(3.0)) / 2.0
@@ -250,6 +250,45 @@ def test_verify_golden_report(capsys):
     assert out == GOLDEN_VERIFY_101
 
 
+GOLDEN_VERIFY_41_RANGE = """\
+check=grid_min_sum alpha=0.2 claimed=1.38629436112 observed=1.38629436112 err=2.22044604925e-16 passed=true
+check=grid_max_sum_pure alpha=0.2 claimed=1.95981814593 observed=1.95979602999 err=2.21159423843e-05 passed=true
+check=impurity_gap_scan alpha=0.2 claimed=1.38629436112 observed=1.68313963929 err=0 passed=true
+check=derivative_sign_check alpha=0.2 claimed=0.392699081699 observed=0.39269908166 err=3.85992349194e-11 passed=true
+check=grid_min_sum alpha=0.4 claimed=1.38629436112 observed=1.38629436112 err=0 passed=true
+check=grid_max_sum_pure alpha=0.4 claimed=1.84544520094 observed=1.84540843788 err=3.6763052883e-05 passed=true
+check=impurity_gap_scan alpha=0.4 claimed=1.38629436112 observed=1.50105432295 err=0 passed=true
+check=derivative_sign_check alpha=0.4 claimed=0.392699081699 observed=0.392699081679 err=1.99558147784e-11 passed=true
+check=grid_min_sum alpha=0.6 claimed=1.38629436112 observed=1.38629436112 err=2.22044604925e-16 passed=true
+check=grid_max_sum_pure alpha=0.6 claimed=1.73787460464 observed=1.73783192258 err=4.26820590134e-05 passed=true
+check=impurity_gap_scan alpha=0.6 claimed=1.38629436112 observed=1.43155215373 err=0 passed=true
+check=derivative_sign_check alpha=0.6 claimed=0.392699081699 observed=0.392699081696 err=2.31459296174e-12 passed=true
+check=grid_min_sum alpha=0.8 claimed=1.38629436112 observed=1.38629436112 err=8.881784197e-16 passed=true
+check=grid_max_sum_pure alpha=0.8 claimed=1.63821888203 observed=1.63817888025 err=4.00017825266e-05 passed=true
+check=impurity_gap_scan alpha=0.8 claimed=1.38629436112 observed=1.4058194466 err=0 passed=true
+check=derivative_sign_check alpha=0.8 claimed=0.392699081699 observed=0.392699081773 err=7.45880024411e-11 passed=true
+check=band_sweep alpha=0.4 claimed=0 observed=-1.06355201341e-05 err=0 passed=true
+info band_rel_gap alpha=0.4 observed=0.0246182894196
+"""
+
+
+def test_verify_golden_report_two_threads_order_range(capsys):
+    # what the run above leaves out: two threads, non-default orders, and
+    # a main grid equal to the sweep grid
+    code, out, err = run(
+        capsys,
+        "verify",
+        "--alpha-range", "0.2:0.8:0.2",
+        "--grid", "41x41",
+        "--samples", "5000",
+        "--points", "400",
+        "--threads", "2",
+    )
+    assert code == EXIT_OK
+    assert err == ""
+    assert out == GOLDEN_VERIFY_41_RANGE
+
+
 def test_verify_quick_run(capsys):
     code, out, _ = run(
         capsys,
@@ -332,6 +371,29 @@ def test_verify_rejects_size_arguments_before_any_work(monkeypatch, capsys, opti
     assert code == EXIT_INPUT_ERROR
     assert out == ""
     assert option in err
+
+
+@pytest.mark.parametrize("orders", [["--alpha-range", "0.5:1.5:0.5"], ["--alpha", "1.2"]])
+def test_verify_rejects_orders_before_any_work(monkeypatch, capsys, orders):
+    # 0.5 and 1.0 are valid, but 1.5 must stop the run before their scans
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before the orders were checked")
+
+    monkeypatch.setattr(verify, "grid_min_sum", no_scan)
+    code, out, err = run(capsys, "verify", *orders, "--grid", "51x51")
+    assert code == EXIT_DOMAIN_ERROR
+    assert out == ""
+    assert "above 1" in err
+
+
+@pytest.mark.parametrize("spec", ["abc", "10x", "1x100", "100x100x100"])
+def test_verify_reports_bad_grid_as_input_error(capsys, spec):
+    # --grid is parsed by the command, so the message reaches stderr and
+    # main returns instead of raising SystemExit from inside argparse
+    code, out, err = run(capsys, "verify", "--grid", spec)
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert "bad --grid" in err
 
 
 @pytest.mark.parametrize("alpha", ["0.0001", "0.999"])

@@ -37,6 +37,12 @@ def test_grid_spec_validation():
         GridSpec(100, 200_000)
     with pytest.raises(ValueError):
         GridSpec(100, 100, "everything")
+    # the point limit holds for library callers too, not only the CLI
+    assert GridSpec(100_000, verify.MAX_GRID_POINTS // 100_000).n_phi == 1000
+    with pytest.raises(ValueError, match="points"):
+        GridSpec(100_000, verify.MAX_GRID_POINTS // 100_000 + 1)
+    with pytest.raises(ValueError, match="points"):
+        GridSpec(100_000, 100_000, "full")
 
 
 def test_grid_spec_axes():
@@ -70,6 +76,17 @@ def test_neg_xlnx_matches_masked_reference(rng):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert math.copysign(1.0, got[0, 0]) == 1.0
     assert math.copysign(1.0, got[0, 1]) == -1.0
+
+
+@pytest.mark.parametrize("alpha", [1.1e-6, 0.3, 0.9999])
+def test_renyi_sums_are_bitwise_even_in_the_bloch_vector(rng, alpha):
+    # the impurity chain evaluates only +u: below order one, -u swaps the
+    # two power terms of every axis and their one addition commutes
+    u = rng.normal(size=(50_000, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    plus = renyi_sums_from_components(alpha, u[:, 0], u[:, 1], u[:, 2])
+    minus = renyi_sums_from_components(alpha, -u[:, 0], -u[:, 1], -u[:, 2])
+    assert np.array_equal(plus.view(np.int64), minus.view(np.int64))
 
 
 def test_vectorized_tsallis_center():
@@ -163,6 +180,17 @@ def test_scan_is_identical_for_any_chunking(monkeypatch, g, alpha):
         monkeypatch.setattr(verify, "_chunk_rows", lambda n_phi, rows=rows: rows)
         results.append(verify._scan_grid_uncached(order, g, 2, True))
     assert all(r == results[0] for r in results)
+
+
+@pytest.mark.parametrize("domain", ["D", "full"])
+def test_order_one_tsallis_maximum_comes_from_the_shannon_scan(monkeypatch, domain):
+    def no_tsallis(*args, **kwargs):
+        raise AssertionError("order one recomputed its Shannon sums")
+
+    monkeypatch.setattr(verify, "tsallis_sums_from_components", no_tsallis)
+    order = bounds.supported_order(1.0)
+    scan = verify._scan_grid_uncached(order, GridSpec(150, 97, domain), 2, True)
+    assert scan.tsallis_maximum == scan.maximum
 
 
 def test_chunk_rows_follow_the_element_budget():
@@ -281,6 +309,18 @@ def test_impurity_scan_deterministic():
     a = impurity_gap_scan(0.3, seed=5, count=5_000)
     b = impurity_gap_scan(0.3, seed=5, count=5_000)
     assert a == b
+
+
+def test_impurity_scan_fails_on_a_broken_concavity_chain(monkeypatch):
+    # negative control: 6 ln 2 - S keeps every mixed sum above 2 ln 2 but
+    # reverses the chain, since mixing raises S above its eigenstates' S
+    sums = verify.renyi_sums_from_components
+    monkeypatch.setattr(
+        verify, "renyi_sums_from_components", lambda *a: 3.0 * TWO_LN2 - sums(*a)
+    )
+    report = impurity_gap_scan(0.5, seed=11, count=2_000)
+    assert report.observed > TWO_LN2 and report.abs_error == 0.0
+    assert not report.passed
 
 
 def test_impurity_scan_rejects_order_one():
