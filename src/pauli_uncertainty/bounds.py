@@ -8,6 +8,7 @@ interval, and the sum's behaviour changes character above 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,10 +40,9 @@ ALPHA_MIN = 1e-6
 #: Default tolerance (nats) at which equality in a bound is certified.
 SATURATION_TOL = 1e-8
 
-#: f_func switches from the closed form to its even power series below
-#: this argument; both branches agree to ~1e-12 around the switch.
-_SERIES_SWITCH = 1e-4
-_SERIES_TERMS = 5  # truncation after the u**10 term
+#: A computed entropic sum may miss an exact bound by at most this much
+#: (rounding) at orders where 1/(1 - alpha) does not amplify it.
+VIOLATION_TOL = 1e-12
 
 LOWER_SATURATED = "lower-saturated"
 UPPER_SATURATED = "upper-saturated"
@@ -144,26 +144,19 @@ def big_f(d: DomainPoint, a: OrderLike) -> float:
 
 
 def f_func(u: float, a: OrderLike) -> float:
-    """((1-u)**(alpha-1) - (1+u)**(alpha-1)) / u, extended by its series at u = 0.
+    """((1-u)**(alpha-1) - (1+u)**(alpha-1)) / u, and its limit 2(1 - alpha) at u = 0.
 
-    Monotone increasing on [0, 1) for alpha in (0, 1); the closed form is
-    a 0/0 at the origin, so arguments below the switch point use the even
-    power series instead.
+    Monotone increasing on [0, 1) for alpha in (0, 1). Since ln(1-u) -
+    ln(1+u) = -2 atanh u, the form (1+u)**(alpha-1) expm1(2(1-alpha) atanh u) / u
+    subtracts no two close numbers at any u or alpha: a few ulps of error.
     """
     order = supported_order(a)
     alpha = order.alpha
     if not (0.0 <= u < 1.0):
         raise ValueError(f"f_func needs u in [0, 1), got {u!r}")
-    if u < _SERIES_SWITCH:
-        coeffs = series_coeffs_f(order, _SERIES_TERMS)
-        acc = 2.0 * (1.0 - alpha)
-        u2 = u * u
-        upow = 1.0
-        for c in coeffs:
-            upow *= u2
-            acc += c * upow
-        return acc
-    return ((1.0 - u) ** (alpha - 1.0) - (1.0 + u) ** (alpha - 1.0)) / u
+    if u == 0.0:
+        return 2.0 * (1.0 - alpha)
+    return (1.0 + u) ** (alpha - 1.0) * math.expm1(2.0 * (1.0 - alpha) * math.atanh(u)) / u
 
 
 def g_func(u: float, a: OrderLike) -> float:
@@ -175,48 +168,42 @@ def g_func(u: float, a: OrderLike) -> float:
     return (1.0 + u) ** alpha + (1.0 - u) ** alpha
 
 
-def _rising_product_over_factorial(alpha: float, top_of_k, fact_of_k, k_max: int) -> list[float]:
-    # prod_{j=1..top(k)} (j - alpha) / fact(k)!, built incrementally in k
-    ratios = []
-    prod = 1.0
-    top = 0
-    factorial = 1.0
-    fact_n = 0
-    for k in range(1, k_max + 1):
-        while top < top_of_k(k):
-            top += 1
-            prod *= float(top) - alpha
-        while fact_n < fact_of_k(k):
-            fact_n += 1
-            factorial *= float(fact_n)
-        ratios.append(prod / factorial)
-    return ratios
-
-
 def series_coeffs_f(a: OrderLike, k_max: int) -> list[float]:
-    """Series coefficients of f_func: 2 * prod_{j=1..2k+1}(j - alpha) / (2k+1)!.
+    """c_1..c_k_max of f_func = sum_k c_k u**(2k): c_k = 2 prod_{j<=2k+1}(j - alpha) / (2k+1)!.
 
-    Strictly positive for alpha in (0, 1), which is what forces f_func to
-    increase.
+    Built from c_0 = 2(1 - alpha) by the term ratios (2k - alpha)(2k+1 - alpha)
+    / (2k (2k+1)), with no factorial to overflow. For alpha in (0, 1) every
+    ratio is positive, so every c_k is, which is what forces f_func to increase.
     """
     order = supported_order(a)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    ratios = _rising_product_over_factorial(
-        order.alpha, lambda k: 2 * k + 1, lambda k: 2 * k + 1, k_max
-    )
-    return [2.0 * r for r in ratios]
+    alpha = order.alpha
+    coeffs = []
+    c = 2.0 * (1.0 - alpha)
+    for k in range(1, k_max + 1):
+        c *= (2 * k - alpha) * (2 * k + 1 - alpha) / (2 * k * (2 * k + 1))
+        coeffs.append(c)
+    return coeffs
 
 
 def series_coeffs_g(a: OrderLike, k_max: int) -> list[float]:
-    """Series coefficients of g_func: alpha * prod_{j=1..2k-1}(j - alpha) / (2k)!."""
+    """d_1..d_k_max of g_func = 2 - 2 sum_k d_k u**(2k): alpha prod_{j<=2k-1}(j - alpha) / (2k)!.
+
+    Built from d_0 = -1 (g_func = -2 sum_{k>=0} d_k u**(2k)) by the term
+    ratios (2k-2 - alpha)(2k-1 - alpha) / ((2k-1) 2k), so d_1 = alpha (1 - alpha)
+    / 2. Positive for alpha in (0, 1), which is what forces g_func to decrease.
+    """
     order = supported_order(a)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    ratios = _rising_product_over_factorial(
-        order.alpha, lambda k: 2 * k - 1, lambda k: 2 * k, k_max
-    )
-    return [order.alpha * r for r in ratios]
+    alpha = order.alpha
+    coeffs = []
+    d = -1.0
+    for k in range(1, k_max + 1):
+        d *= (2 * k - 2 - alpha) * (2 * k - 1 - alpha) / ((2 * k - 1) * 2 * k)
+        coeffs.append(d)
+    return coeffs
 
 
 def rho_hat(a: OrderLike) -> float:
@@ -272,6 +259,20 @@ def symmetry_reduce(tau: float, phi: float) -> DomainPoint:
     return DomainPoint(tau, phi)
 
 
+def rounding_floor(order: EntropyOrder) -> float:
+    """Rounding floor of a computed entropic sum against an exact bound.
+
+    The 1/(1 - alpha) prefactor amplifies the last ulp of ln(power sum) to
+    4 eps / (1 - alpha), above VIOLATION_TOL near order one (~4e-12 at 1 - 1e-4).
+    """
+    if order.is_one:
+        return VIOLATION_TOL
+    # conditionals, not max(): every saturation check calls this, and a
+    # builtin call costs more than the arithmetic
+    floor = 4.0 * sys.float_info.epsilon / abs(1.0 - order.alpha)
+    return floor if floor > VIOLATION_TOL else VIOLATION_TOL
+
+
 def _is_deterministic(dist, tol: float) -> bool:
     return max(dist.probs) >= 1.0 - tol
 
@@ -288,27 +289,31 @@ def _matches_extremal_pair(dist, tol: float) -> bool:
 def check_lower(t: PauliTriple, a: OrderLike, tol: float = SATURATION_TOL) -> SaturationReport:
     """Certify the lower bound: entropic sum >= 2 ln 2.
 
-    Saturation within tol must come with the equality pattern (one
-    deterministic axis, two uniform ones); a gap below -tol means the
-    implementation itself is broken and raises BoundViolationError.
+    The gate is max(tol, rounding_floor(alpha)): no tol below the rounding
+    of the sum turns an exact saturation into a failure. Saturation within
+    the gate must come with the equality pattern (one deterministic axis,
+    two uniform ones); a gap below -gate means the implementation itself
+    is broken and raises BoundViolationError.
     """
     order = supported_order(a)
+    floor = rounding_floor(order)
+    gate = tol if tol > floor else floor
     gap = entropic_sum_renyi(t, order) - TWO_LN2
-    if gap < -tol:
+    if gap < -gate:
         raise BoundViolationError(f"entropic sum undercuts 2 ln 2 by {-gap!r}")
-    if gap <= tol:
+    if gap <= gate:
         witness = None
         for name in ("x", "y", "z"):
-            if _is_deterministic(t.axis(name), tol):
+            if _is_deterministic(t.axis(name), gate):
                 witness = name
                 break
         if witness is None:
             raise BoundViolationError("saturated lower bound without a deterministic axis")
         # the gap is quadratic in the remaining axes' deviation from 1/2,
         # and the Bloch norm couples them to the deterministic axis, so
-        # sqrt(tol) is the scale certified by gap <= tol
+        # sqrt(gate) is the scale certified by gap <= gate
         others = [n for n in ("x", "y", "z") if n != witness]
-        if not all(_is_uniform(t.axis(n), math.sqrt(tol)) for n in others):
+        if not all(_is_uniform(t.axis(n), math.sqrt(gate)) for n in others):
             raise BoundViolationError("saturated lower bound without two uniform axes")
         return SaturationReport(LOWER_SATURATED, witness, max(gap, 0.0))
     return SaturationReport(INTERIOR, None, gap)
@@ -317,19 +322,22 @@ def check_lower(t: PauliTriple, a: OrderLike, tol: float = SATURATION_TOL) -> Sa
 def check_upper(t: PauliTriple, a: OrderLike, tol: float = SATURATION_TOL) -> SaturationReport:
     """Certify the pure-state upper bound: entropic sum <= 3 rho_hat.
 
+    Applies the gate max(tol, rounding_floor(alpha)) as check_lower does.
     Only defined for triples coming from pure states; mixed input is a
     contract violation, not a soft failure.
     """
     order = supported_order(a)
     if not t.is_pure:
         raise ValueError("the upper bound certificate applies to pure states only")
+    floor = rounding_floor(order)
+    gate = tol if tol > floor else floor
     gap = 3.0 * rho_hat(order) - entropic_sum_renyi(t, order)
-    if gap < -tol:
+    if gap < -gate:
         raise BoundViolationError(f"entropic sum exceeds the pure-state ceiling by {-gap!r}")
-    if gap <= tol:
-        # quadratic maximum: gap <= tol certifies the probabilities only
-        # to the sqrt(tol) scale
-        if not all(_matches_extremal_pair(t.axis(n), math.sqrt(tol)) for n in ("x", "y", "z")):
+    if gap <= gate:
+        # quadratic maximum: gap <= gate certifies the probabilities only
+        # to the sqrt(gate) scale
+        if not all(_matches_extremal_pair(t.axis(n), math.sqrt(gate)) for n in ("x", "y", "z")):
             raise BoundViolationError("saturated upper bound without the extremal outcome pair")
         return SaturationReport(UPPER_SATURATED, None, max(gap, 0.0))
     return SaturationReport(INTERIOR, None, gap)

@@ -87,8 +87,8 @@ def _parse_grid(spec: str) -> verify.GridSpec:
         raise _InputError(f"bad --grid {spec!r}, expected NxM: {exc}") from exc
 
 
-def _parse_state(args) -> tuple[PauliTriple, bool, str]:
-    """Build the measured triple from exactly one state option."""
+def _parse_state(args) -> tuple[PauliTriple, str]:
+    """Build the measured triple, whose is_pure decides purity, from one state option."""
     given = [
         name
         for name, value in (
@@ -105,20 +105,20 @@ def _parse_state(args) -> tuple[PauliTriple, bool, str]:
     if args.angles is not None:
         tau, phi = _parse_floats(args.angles, 2, "--angles")
         state = PureStateAngles(tau, phi)
-        return measure_pure(state), True, f"angles tau={state.tau:.9g} phi={state.phi:.9g}"
+        return measure_pure(state), f"angles tau={state.tau:.9g} phi={state.phi:.9g}"
     if args.bloch is not None:
         x, y, z = _parse_floats(args.bloch, 3, "--bloch")
         try:
             b = BlochVector(x, y, z)
         except ValueError as exc:
             raise _InputError(str(exc)) from exc
-        return measure_mixed(b), b.is_pure, f"bloch ({x:.9g}, {y:.9g}, {z:.9g})"
+        return measure_mixed(b), f"bloch ({x:.9g}, {y:.9g}, {z:.9g})"
     if args.eigenstate is not None:
         name = args.eigenstate.strip().lower()
         if len(name) != 2 or name[0] not in "xyz" or name[1] not in "+-":
             raise _InputError(f"bad --eigenstate {args.eigenstate!r}, expected e.g. z+ or x-")
         state = pauli_eigenstate(name[0], +1 if name[1] == "+" else -1)
-        return measure_pure(state), True, f"eigenstate {name}"
+        return measure_pure(state), f"eigenstate {name}"
     lam_s, _, axis = args.mix.partition(",")
     axis = axis.strip().lower()
     try:
@@ -130,7 +130,7 @@ def _parse_state(args) -> tuple[PauliTriple, bool, str]:
     unit = angles_to_bloch(pauli_eigenstate(axis, +1))
     scale = 2.0 * lam - 1.0
     b = BlochVector(scale * unit.rx, scale * unit.ry, scale * unit.rz)
-    return measure_mixed(b), b.is_pure, f"mixture lambda={lam:.9g} axis={axis}"
+    return measure_mixed(b), f"mixture lambda={lam:.9g} axis={axis}"
 
 
 def _format_dist(dist) -> str:
@@ -138,12 +138,13 @@ def _format_dist(dist) -> str:
 
 
 def cmd_eval(args) -> int:
-    triple, pure, label = _parse_state(args)
+    triple, label = _parse_state(args)
+    pure = triple.is_pure
     order = bounds.supported_order(args.alpha)
     renyi = {n: renyi_entropy(triple.axis(n), order) for n in ("x", "y", "z")}
     tsallis = {n: tsallis_entropy(triple.axis(n), order) for n in ("x", "y", "z")}
-    sum_r = bounds.entropic_sum_renyi(triple, order)
-    sum_t = bounds.entropic_sum_tsallis(triple, order)
+    sum_r = renyi["x"] + renyi["y"] + renyi["z"]
+    sum_t = tsallis["x"] + tsallis["y"] + tsallis["z"]
     upper = 3.0 * bounds.rho_hat(order) if pure else bounds.THREE_LN2
     upper_name = "3*rho_hat" if pure else "3*ln2"
     lines = [
@@ -172,10 +173,10 @@ def cmd_saturate(args) -> int:
     # so the certificate would be vacuous; nan fails the comparison too
     if not (0.0 <= args.tol < 0.25):
         raise _InputError(f"--tol must be finite and in [0, 0.25), got {args.tol}")
-    triple, pure, label = _parse_state(args)
+    triple, label = _parse_state(args)
     order = bounds.supported_order(args.alpha)
     report = bounds.check_lower(triple, order, args.tol)
-    if report.kind == bounds.INTERIOR and pure:
+    if report.kind == bounds.INTERIOR and triple.is_pure:
         upper_report = bounds.check_upper(triple, order, args.tol)
         if upper_report.kind == bounds.UPPER_SATURATED:
             report = upper_report

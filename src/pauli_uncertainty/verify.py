@@ -32,19 +32,7 @@ from . import bounds
 from .distributions import EntropyOrder, OrderLike, alpha_log, as_order
 from .qubit import sample_mixed
 
-#: Grid extrema may violate an exact bound by at most this much (rounding).
-VIOLATION_TOL = 1e-12
-
 _EPS = float(np.finfo(float).eps)
-
-
-def _violation_tol(order: EntropyOrder) -> float:
-    # the 1/(1 - alpha) prefactor amplifies the last ulp of ln(power sum);
-    # just below the Shannon window that conditioning exceeds the flat
-    # budget, e.g. ~4e-12 at alpha = 1 - 1e-4
-    if order.is_one:
-        return VIOLATION_TOL
-    return max(VIOLATION_TOL, 4.0 * _EPS / abs(1.0 - order.alpha))
 
 #: Auto extremum tolerance = this factor times the squared largest grid
 #: step; the sum's curvature stays below ~2 per squared radian, so the
@@ -273,15 +261,15 @@ def grid_min_sum(
     """Exhaustive grid minimum of the Renyi entropic sum versus 2 ln 2.
 
     Passing requires the observed minimum to sit within the grid's
-    extremum tolerance above the claim and never more than VIOLATION_TOL
-    below it.
+    extremum tolerance above the claim and never more than the rounding
+    floor of the sum (bounds.rounding_floor) below it.
     """
     order = bounds.supported_order(a)
     tol = g.default_extremum_tol()
     target = bounds.TWO_LN2 if claimed is None else claimed
     scan = _scan_grid(order, g, n_threads)
     abs_error = abs(scan.minimum - target)
-    passed = scan.minimum >= target - _violation_tol(order) and abs_error <= tol
+    passed = scan.minimum >= target - bounds.rounding_floor(order) and abs_error <= tol
     return VerificationReport(
         check="grid_min_sum",
         alpha=order.alpha,
@@ -308,7 +296,7 @@ def grid_max_sum_pure(a: OrderLike, g: GridSpec, n_threads: int = 1) -> Verifica
     target = 3.0 * bounds.rho_hat(order)
     scan = _scan_grid(order, g, n_threads)
     abs_error = abs(target - scan.maximum)
-    value_ok = scan.maximum <= target + _violation_tol(order) and abs_error <= tol
+    value_ok = scan.maximum <= target + bounds.rounding_floor(order) and abs_error <= tol
 
     tau_loc, phi_loc = _grid_location(g, scan.max_index)
     reduced = bounds.symmetry_reduce(tau_loc, phi_loc)
@@ -367,7 +355,7 @@ def sweep_band(
         raise ValueError("sweep needs at least one order")
     points = []
     worst_excess = -math.inf
-    gate = VIOLATION_TOL
+    gate = bounds.VIOLATION_TOL
     passed = True
     for alpha in alphas:
         order = bounds.supported_order(alpha)
@@ -377,7 +365,7 @@ def sweep_band(
         renyi_excess = scan.maximum / bounds.THREE_LN2 - pt.b_upper
         tsallis_excess = scan.tsallis_maximum / (3.0 * alpha_log(2.0, order)) - pt.a_upper
         worst_excess = max(worst_excess, renyi_excess, tsallis_excess)
-        tol = _violation_tol(order)
+        tol = bounds.rounding_floor(order)
         gate = max(gate, tol)
         passed = passed and max(renyi_excess, tsallis_excess) <= tol
     _, gap_alpha = max_relative_gap(points)
@@ -416,7 +404,7 @@ def impurity_gap_scan(a: OrderLike, seed: int, count: int) -> VerificationReport
     safe = np.where(norms > 1e-12, norms, 1.0)[:, None]
     unit = np.where(norms[:, None] > 1e-12, b / safe, np.array([[0.0, 0.0, 1.0]]))
     sums_pure = renyi_sums_from_components(order, unit[:, 0], unit[:, 1], unit[:, 2])
-    chain_ok = bool(np.all(sums_mixed >= sums_pure - VIOLATION_TOL))
+    chain_ok = bool(np.all(sums_mixed >= sums_pure - bounds.VIOLATION_TOL))
 
     observed = float(np.min(sums_mixed))
     min_gap = observed - bounds.TWO_LN2

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -160,11 +161,25 @@ def test_f_series_matches_closed_form():
             assert abs(series - f_func(float(u), alpha)) <= 1e-10
 
 
-def test_f_branches_agree_at_switch():
-    for alpha in (0.2, 0.5, 0.8):
-        below = f_func(9.999e-5, alpha)
-        above = f_func(1.001e-4, alpha)
-        assert abs(below - above) < 1e-9
+def test_f_matches_mpmath_within_rounding_bound():
+    # 50-digit oracle on the naive difference quotient, with points on both
+    # sides of 1e-4 and orders from just above the cutoff to just below 1
+    mpmath = pytest.importorskip("mpmath")
+    eps = sys.float_info.epsilon
+    with mpmath.workdps(50):
+        for alpha in (2e-6, 0.01, 0.5, 0.9, 0.999, 1.0 - 1e-7):
+            a = mpmath.mpf(alpha)
+            for u in (0.0, 1e-12, 9.999e-5, 1.001e-4, 0.5, 0.999999):
+                x = mpmath.mpf(u)
+                want = 2 * (1 - a) if u == 0.0 else ((1 - x) ** (a - 1) - (1 + x) ** (a - 1)) / x
+                # rounding of (1+u)**(alpha-1) * expm1(z) / u, z = 2(1-alpha) atanh u:
+                # z carries <= 3 eps (1 - alpha, atanh, one product), which
+                # expm1 amplifies by kappa = z e^z / expm1(z) and adds 1 eps;
+                # the power adds 1.5 eps and the product and quotient 1 eps
+                z = 2.0 * (1.0 - alpha) * math.atanh(u)
+                kappa = z * math.exp(z) / math.expm1(z) if z > 0.0 else 1.0
+                bound = (3.0 * kappa + 3.5) * eps * abs(want)
+                assert abs(f_func(u, alpha) - want) <= bound, (alpha, u)
 
 
 def test_f_monotone_increasing(rng):
@@ -239,9 +254,11 @@ def test_series_coeffs_against_gamma_oracle():
 
 
 def test_series_coeffs_positive():
-    for alpha in np.linspace(0.05, 0.95, 19):
-        assert all(c > 0.0 for c in series_coeffs_f(float(alpha), 50))
-        assert all(c > 0.0 for c in series_coeffs_g(float(alpha), 50))
+    # at k_max = 200 a factorial-based build ends in 0.0 and then nan
+    for k_max in (50, 200):
+        for alpha in np.linspace(0.05, 0.95, 19):
+            for coeffs in (series_coeffs_f(float(alpha), k_max), series_coeffs_g(float(alpha), k_max)):
+                assert all(math.isfinite(c) and c > 0.0 for c in coeffs)
 
 
 def test_series_coeffs_vanish_toward_order_one():

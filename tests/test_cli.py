@@ -117,6 +117,41 @@ def test_saturate_extremal_state(capsys):
     assert "kind=upper-saturated" in out
 
 
+@pytest.mark.parametrize(
+    "eigenstate, alpha, tol",
+    [
+        # a tol below the rounding of the sum and the probabilities
+        ("x-", "0.7", "0"),
+        ("x-", "0.7", "1e-300"),
+        ("x-", "1", "0"),
+        # near order one the 1/(1 - alpha) prefactor amplifies that rounding
+        ("x+", "0.99999", "1e-12"),
+    ]
+    + [(s, "0.999999998", None) for s in ("x+", "x-", "y+", "y-", "z+", "z-")],
+)
+def test_saturate_gate_covers_rounding_floor(capsys, eigenstate, alpha, tol):
+    argv = ["saturate", "--eigenstate", eigenstate, "--alpha", alpha]
+    if tol is not None:
+        argv.append(f"--tol={tol}")
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert err == ""
+    assert f"kind=lower-saturated witness_axis={eigenstate[0]}" in out
+
+
+def test_eval_and_saturate_agree_on_purity(capsys):
+    # norm within 1e-9 of 1, squared norm of the probability differences
+    # further than 2e-9 from 1: both commands read the triple's purity
+    bloch = "--bloch=0.329077124688033,-0.5399667027320034,-0.7746897468972885"
+    code, out, _ = run(capsys, "eval", bloch, "--alpha", "0.5")
+    assert code == EXIT_OK
+    assert "(pure=false)" in out and "gap_upper[3*ln2]" in out
+    code, out, err = run(capsys, "saturate", bloch, "--alpha", "0.5")
+    assert code == EXIT_OK
+    assert err == ""
+    assert "kind=interior" in out
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0.7", "0.25"])
 def test_saturate_rejects_tol_outside_range(capsys, tol):
     # at sqrt(tol) >= 1/2 the uniform-axis test accepts every distribution:

@@ -287,7 +287,7 @@ def test_sweep_band_reports_applied_gate():
     _, report = sweep_band([0.9999], GridSpec(21, 21))
     eps = float(np.finfo(float).eps)
     assert report.tolerance == pytest.approx(4.0 * eps / 1e-4, rel=1e-6)
-    assert report.tolerance > verify.VIOLATION_TOL
+    assert report.tolerance > bounds.VIOLATION_TOL
 
 
 def test_sweep_band_rejects_empty():
