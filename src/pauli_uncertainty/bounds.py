@@ -14,6 +14,7 @@ from typing import Optional
 
 from .distributions import (
     EntropyOrder,
+    OrderDomainError,
     OrderLike,
     ProbabilityDistribution,
     as_order,
@@ -60,12 +61,14 @@ def supported_order(a: OrderLike, *, allow_one: bool = True) -> EntropyOrder:
     """Validate an order against the (0, 1] range the bounds are proven on."""
     order = as_order(a)
     if order.alpha <= ALPHA_MIN:
-        raise ValueError(f"order {order.alpha!r} is at or below the supported minimum {ALPHA_MIN}")
+        raise OrderDomainError(
+            f"order {order.alpha!r} is at or below the supported minimum {ALPHA_MIN}"
+        )
     if order.is_one:
         if not allow_one:
-            raise ValueError("order 1 is not admitted by this operation")
+            raise OrderDomainError("order 1 is not admitted by this operation")
     elif order.alpha > 1.0:
-        raise ValueError(f"order {order.alpha!r} above 1 is outside the supported range")
+        raise OrderDomainError(f"order {order.alpha!r} above 1 is outside the supported range")
     return order
 
 

@@ -1,7 +1,7 @@
 """Command-line surface: state evaluation, band tables, verification runs.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 domain
-error (order outside (0, 1]).
+error (an OrderDomainError: order outside (0, 1] or not admitted).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import bounds, verify
-from .distributions import renyi_entropy, tsallis_entropy
+from .distributions import OrderDomainError, renyi_entropy, tsallis_entropy
 from .pauli_measure import PauliTriple, measure_mixed, measure_pure
 from .qubit import BlochVector, PureStateAngles, angles_to_bloch, pauli_eigenstate
 
@@ -57,6 +57,11 @@ def _parse_alpha_range(spec: str) -> list[float]:
             break
         out.append(round(val, 12))
         k += 1
+    # rounding to 12 decimals can merge orders a step below 1e-12 apart
+    if any(b <= a for a, b in zip(out, out[1:])):
+        raise _InputError(
+            f"bad --alpha-range {spec!r}: orders repeat after rounding to 12 decimals"
+        )
     return out
 
 
@@ -299,14 +304,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except OrderDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return EXIT_DOMAIN_ERROR
     except ValueError as exc:
-        message = str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        if message.startswith(("order", "entropy order")):
-            return EXIT_DOMAIN_ERROR
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -18,6 +18,10 @@ ORDER_ONE_TOL = 1e-9
 NORMALIZATION_TOL = 1e-12
 
 
+class OrderDomainError(ValueError):
+    """An entropy order outside the range an operation admits."""
+
+
 @dataclass(frozen=True)
 class EntropyOrder:
     """Order parameter alpha > 0 of the Renyi/Tsallis entropy families."""
@@ -27,7 +31,7 @@ class EntropyOrder:
     def __post_init__(self) -> None:
         a = float(self.alpha)
         if not math.isfinite(a) or a <= 0.0:
-            raise ValueError(f"entropy order must be a positive real, got {self.alpha!r}")
+            raise OrderDomainError(f"entropy order must be a positive real, got {self.alpha!r}")
         object.__setattr__(self, "alpha", a)
 
     @property

@@ -8,11 +8,11 @@ order, so reports are byte-identical for any grid chunking or thread count.
 
 One scan of a grid yields its minimum and its maximum, and the scan is
 memoized on its last (order, grid, threads, Tsallis) key, so the minimum
-and maximum reports for one (order, grid) share a single scan; at order
-one the Tsallis maximum is read off the Shannon sums of that scan. A scan
-works through row chunks of at most 131,072 grid points (and at most 64
-rows), so the memory of its temporaries per thread does not grow with the
-width of the grid. A grid holds at most MAX_GRID_POINTS points.
+and maximum reports for one (order, grid) share a single scan; the band
+sweep's Tsallis maximum is read off the power sums of that scan's Renyi
+pass. A scan works through row chunks of at most 131,072 grid points (and
+at most 64 rows), so the memory of its temporaries per thread does not
+grow with the width of the grid. A grid holds at most MAX_GRID_POINTS points.
 
 The impurity scan evaluates the pure-state sums once per sample: the two
 spectral eigenstates of a mixed state are antipodal, and their sums agree.
@@ -52,6 +52,12 @@ _BOUNDARY_FLAT_TOL = 1e-9
 _CHUNK_ELEMENTS = 131_072
 _MAX_CHUNK_ROWS = 64
 
+#: Per domain: tau's upper end, phi's upper end, whether phi's end is a grid point.
+_DOMAINS = {
+    "D": (math.pi / 4.0, math.pi / 4.0, True),
+    "full": (math.pi / 2.0, 2.0 * math.pi, False),
+}
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -72,26 +78,21 @@ class GridSpec:
                 raise ValueError(f"grid resolution {n!r} outside [2, 1e5]")
         if self.n_tau * self.n_phi > MAX_GRID_POINTS:
             raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
-        if self.domain not in ("D", "full"):
+        if self.domain not in _DOMAINS:
             raise ValueError(f"domain must be 'D' or 'full', got {self.domain!r}")
 
     def tau_values(self) -> np.ndarray:
-        hi = math.pi / 4.0 if self.domain == "D" else math.pi / 2.0
-        return np.linspace(0.0, hi, self.n_tau)
+        return np.linspace(0.0, _DOMAINS[self.domain][0], self.n_tau)
 
     def phi_values(self) -> np.ndarray:
-        if self.domain == "D":
-            return np.linspace(0.0, math.pi / 4.0, self.n_phi)
-        return np.linspace(0.0, 2.0 * math.pi, self.n_phi, endpoint=False)
+        _, phi_hi, closed = _DOMAINS[self.domain]
+        return np.linspace(0.0, phi_hi, self.n_phi, endpoint=closed)
 
     @property
     def max_step(self) -> float:
-        tau_hi = math.pi / 4.0 if self.domain == "D" else math.pi / 2.0
+        tau_hi, phi_hi, closed = _DOMAINS[self.domain]
         d_tau = tau_hi / (self.n_tau - 1)
-        if self.domain == "D":
-            d_phi = (math.pi / 4.0) / (self.n_phi - 1)
-        else:
-            d_phi = 2.0 * math.pi / self.n_phi
+        d_phi = phi_hi / (self.n_phi - 1 if closed else self.n_phi)
         return max(d_tau, d_phi)
 
     def default_extremum_tol(self) -> float:
@@ -138,35 +139,32 @@ def _power_sum(alpha: float, c):
     return ((1.0 + c) / 2.0) ** alpha + ((1.0 - c) / 2.0) ** alpha
 
 
-def renyi_sums_from_components(a: OrderLike, x, y, z) -> np.ndarray:
-    """Renyi entropic sums for a batch of Bloch components, first principles.
+def renyi_sums_from_components(
+    a: OrderLike, x, y, z, want_tsallis: bool = False
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Renyi and, if asked, Tsallis entropic sums (renyi, tsallis or None).
 
     Accepts broadcastable arrays of the three components; probabilities are
-    (1 +/- c)/2 per axis, powers and logs are taken directly.
+    (1 +/- c)/2 per axis, powers and logs are taken directly. With
+    want_tsallis each axis's power sums feed both sums: one power pass.
+    Without it they stay unnamed and are freed once their logarithm is
+    taken. At order one both sums are the Shannon sums, one array.
     """
     order = as_order(a)
     x, y, z = np.asarray(x, float), np.asarray(y, float), np.asarray(z, float)
-    total = np.zeros(np.broadcast(x, y, z).shape)
-    for comp in (x, y, z):
-        if order.is_one:
-            total = total + _neg_xlnx((1.0 + comp) / 2.0) + _neg_xlnx((1.0 - comp) / 2.0)
-        else:
-            total = total + np.log(_power_sum(order.alpha, comp))
-    if not order.is_one:
-        total = total / (1.0 - order.alpha)
-    return total
-
-
-def tsallis_sums_from_components(a: OrderLike, x, y, z) -> np.ndarray:
-    """Tsallis entropic sums for a batch of Bloch components."""
-    order = as_order(a)
-    x, y, z = np.asarray(x, float), np.asarray(y, float), np.asarray(z, float)
+    renyi = np.zeros(np.broadcast(x, y, z).shape)
     if order.is_one:
-        return renyi_sums_from_components(order, x, y, z)
-    total = np.zeros(np.broadcast(x, y, z).shape)
+        for comp in (x, y, z):
+            renyi = renyi + _neg_xlnx((1.0 + comp) / 2.0) + _neg_xlnx((1.0 - comp) / 2.0)
+        return renyi, (renyi if want_tsallis else None)
+    tsallis = np.zeros_like(renyi) if want_tsallis else None
     for comp in (x, y, z):
-        total = total + (_power_sum(order.alpha, comp) - 1.0)
-    return total / (1.0 - order.alpha)
+        if want_tsallis:
+            ps = _power_sum(order.alpha, comp)
+            tsallis = tsallis + (ps - 1.0)
+        renyi = renyi + np.log(ps if want_tsallis else _power_sum(order.alpha, comp))
+    scale = 1.0 - order.alpha
+    return renyi / scale, (tsallis / scale if want_tsallis else None)
 
 
 @dataclass(frozen=True)
@@ -181,22 +179,15 @@ class _ScanResult:
 def _scan_chunk(order: EntropyOrder, tau_chunk, phi, row_offset, n_phi, want_tsallis):
     sin2t = np.sin(2.0 * tau_chunk)[:, None]
     # the z component depends on tau only: one (rows, 1) column, which the
-    # kernels broadcast, so its entropy term is evaluated once per row
+    # kernel broadcasts, so its entropy term is evaluated once per row
     z = np.cos(2.0 * tau_chunk)[:, None]
     x = sin2t * np.cos(phi)[None, :]
     y = sin2t * np.sin(phi)[None, :]
-    sums = renyi_sums_from_components(order, x, y, z)
+    sums, tsallis = renyi_sums_from_components(order, x, y, z, want_tsallis)
     flat = sums.ravel()
     i_min = int(np.argmin(flat))
     i_max = int(np.argmax(flat))
-    ts_max = -math.inf
-    if want_tsallis:
-        # at order one the Tsallis sum is the Shannon sum just reduced
-        ts_max = (
-            float(flat[i_max])
-            if order.is_one
-            else float(np.max(tsallis_sums_from_components(order, x, y, z)))
-        )
+    ts_max = float(np.max(tsallis)) if want_tsallis else -math.inf
     base = row_offset * n_phi
     return _ScanResult(float(flat[i_min]), base + i_min, float(flat[i_max]), base + i_max, ts_max)
 
@@ -205,10 +196,15 @@ def _chunk_rows(n_phi: int) -> int:
     return max(1, min(_MAX_CHUNK_ROWS, _CHUNK_ELEMENTS // n_phi))
 
 
-def _scan_grid_uncached(
-    order: EntropyOrder, g: GridSpec, n_threads: int, want_tsallis: bool
-) -> _ScanResult:
-    """Chunked exhaustive scan; ties broken by the lowest flat index."""
+@functools.lru_cache(maxsize=1)
+def _scan_grid(order: EntropyOrder, g: GridSpec, n_threads: int, want_tsallis: bool) -> _ScanResult:
+    """Chunked exhaustive scan memoized on its last key; ties go to the lowest index.
+
+    One scan yields both extrema, so the minimum and maximum reports for
+    the same (order, grid), asked for back to back, share it. The thread
+    count stays in the key so that every thread count really scans. The
+    memo keys on the arguments as passed: no defaults, all four positional.
+    """
     tau = g.tau_values()
     phi = g.phi_values()
     rows = _chunk_rows(g.n_phi)
@@ -228,23 +224,6 @@ def _scan_grid_uncached(
     return _ScanResult(
         best_min.minimum, best_min.min_index, best_max.maximum, best_max.max_index, ts_max
     )
-
-
-@functools.lru_cache(maxsize=1)
-def _last_scan(
-    order: EntropyOrder, g: GridSpec, n_threads: int, want_tsallis: bool
-) -> _ScanResult:
-    return _scan_grid_uncached(order, g, n_threads, want_tsallis)
-
-
-def _scan_grid(a: OrderLike, g: GridSpec, n_threads: int = 1, want_tsallis: bool = False) -> _ScanResult:
-    """Grid scan memoized on its last key.
-
-    One scan yields both extrema, so the minimum and maximum reports for
-    the same (order, grid), asked for back to back, share it. The thread
-    count stays in the key so that every thread count really scans.
-    """
-    return _last_scan(as_order(a), g, n_threads, want_tsallis)
 
 
 def _grid_location(g: GridSpec, flat_index: int) -> tuple[float, float]:
@@ -267,7 +246,7 @@ def grid_min_sum(
     order = bounds.supported_order(a)
     tol = g.default_extremum_tol()
     target = bounds.TWO_LN2 if claimed is None else claimed
-    scan = _scan_grid(order, g, n_threads)
+    scan = _scan_grid(order, g, n_threads, False)
     abs_error = abs(scan.minimum - target)
     passed = scan.minimum >= target - bounds.rounding_floor(order) and abs_error <= tol
     return VerificationReport(
@@ -294,7 +273,7 @@ def grid_max_sum_pure(a: OrderLike, g: GridSpec, n_threads: int = 1) -> Verifica
     order = bounds.supported_order(a)
     tol = g.default_extremum_tol()
     target = 3.0 * bounds.rho_hat(order)
-    scan = _scan_grid(order, g, n_threads)
+    scan = _scan_grid(order, g, n_threads, False)
     abs_error = abs(target - scan.maximum)
     value_ok = scan.maximum <= target + bounds.rounding_floor(order) and abs_error <= tol
 
@@ -361,7 +340,7 @@ def sweep_band(
         order = bounds.supported_order(alpha)
         pt = bounds.band_bounds(order)
         points.append(pt)
-        scan = _scan_grid(order, g, n_threads, want_tsallis=True)
+        scan = _scan_grid(order, g, n_threads, True)
         renyi_excess = scan.maximum / bounds.THREE_LN2 - pt.b_upper
         tsallis_excess = scan.tsallis_maximum / (3.0 * alpha_log(2.0, order)) - pt.a_upper
         worst_excess = max(worst_excess, renyi_excess, tsallis_excess)
@@ -395,7 +374,7 @@ def impurity_gap_scan(a: OrderLike, seed: int, count: int) -> VerificationReport
         raise ValueError("count must be >= 1")
     b = 0.999 * sample_mixed(seed, count)
     norms = np.linalg.norm(b, axis=1)
-    sums_mixed = renyi_sums_from_components(order, b[:, 0], b[:, 1], b[:, 2])
+    sums_mixed, _ = renyi_sums_from_components(order, b[:, 0], b[:, 1], b[:, 2])
 
     # spectral eigenstates: the antipodal unit vectors +u and -u. Negating
     # u swaps each axis's outcome pair, so psi- has the sum of psi+ (bit
@@ -403,7 +382,7 @@ def impurity_gap_scan(a: OrderLike, seed: int, count: int) -> VerificationReport
     # commutative addition sums them), and lam+ S + lam- S is S
     safe = np.where(norms > 1e-12, norms, 1.0)[:, None]
     unit = np.where(norms[:, None] > 1e-12, b / safe, np.array([[0.0, 0.0, 1.0]]))
-    sums_pure = renyi_sums_from_components(order, unit[:, 0], unit[:, 1], unit[:, 2])
+    sums_pure, _ = renyi_sums_from_components(order, unit[:, 0], unit[:, 1], unit[:, 2])
     chain_ok = bool(np.all(sums_mixed >= sums_pure - bounds.VIOLATION_TOL))
 
     observed = float(np.min(sums_mixed))

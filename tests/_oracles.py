@@ -88,6 +88,23 @@ def neg_xlnx_masked(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def tsallis_sums_two_pass(alpha: float, x, y, z) -> np.ndarray:
+    """Tsallis sums of Bloch component arrays from a power pass of their own.
+
+    The reference for the Tsallis half of verify.renyi_sums_from_components:
+    the same per-axis power sums and the same order of additions, with the
+    Shannon sums (by neg_xlnx_masked) at order one.
+    """
+    x, y, z = np.asarray(x, float), np.asarray(y, float), np.asarray(z, float)
+    total = np.zeros(np.broadcast(x, y, z).shape)
+    for c in (x, y, z):
+        if abs(alpha - 1.0) <= 1e-9:
+            total = total + neg_xlnx_masked((1.0 + c) / 2.0) + neg_xlnx_masked((1.0 - c) / 2.0)
+        else:
+            total = total + ((((1.0 + c) / 2.0) ** alpha + ((1.0 - c) / 2.0) ** alpha) - 1.0)
+    return total if abs(alpha - 1.0) <= 1e-9 else total / (1.0 - alpha)
+
+
 def derivative_sign_check_loop(a, n_points: int):
     """The derivative sign check one Python-float point at a time.
 

@@ -173,8 +173,8 @@ def test_criterion_06_saturation_iff_eigenstate():
     random_ok = True
     detail = []
     for alpha in ALPHAS:
-        sums_pure = renyi_sums_from_components(alpha, pure_b[:, 0], pure_b[:, 1], pure_b[:, 2])
-        sums_mixed = renyi_sums_from_components(alpha, mixed_b[:, 0], mixed_b[:, 1], mixed_b[:, 2])
+        sums_pure, _ = renyi_sums_from_components(alpha, pure_b[:, 0], pure_b[:, 1], pure_b[:, 2])
+        sums_mixed, _ = renyi_sums_from_components(alpha, mixed_b[:, 0], mixed_b[:, 1], mixed_b[:, 2])
         ceiling = 3.0 * rho_hat(alpha)
         no_violation = (
             bool(np.all(sums_pure >= TWO_LN2 - 1e-12))

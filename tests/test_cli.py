@@ -251,6 +251,23 @@ def test_alpha_range_order_count_is_bounded(capsys):
     assert code == EXIT_INPUT_ERROR and out == "" and "orders" in err
 
 
+def test_alpha_range_rejects_orders_that_repeat_after_rounding(monkeypatch, capsys):
+    # 30 steps of 1e-13 round to 12 decimals as 4 distinct orders
+    spec = "0.5:0.5000000000019:1e-13"
+    with pytest.raises(_InputError, match="repeat"):
+        _parse_alpha_range(spec)
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before the orders were checked")
+
+    monkeypatch.setattr(verify, "grid_min_sum", no_scan)
+    for command in ("band", "verify"):
+        code, out, err = run(capsys, command, "--alpha-range", spec)
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert "repeat" in err
+
+
 # -------------------------------------------------------------------- verify
 
 GOLDEN_VERIFY_101 = """\
@@ -419,6 +436,18 @@ def test_verify_rejects_orders_before_any_work(monkeypatch, capsys, orders):
     assert code == EXIT_DOMAIN_ERROR
     assert out == ""
     assert "above 1" in err
+
+
+def test_only_domain_errors_exit_3(monkeypatch, capsys):
+    # the exit code follows the error's type, not the wording of its message
+    def worded_like_a_domain_error(*args, **kwargs):
+        raise ValueError("order of the scan is broken")
+
+    monkeypatch.setattr(verify, "grid_min_sum", worded_like_a_domain_error)
+    code, out, err = run(capsys, "verify", "--alpha", "0.5", "--grid", "21x21")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert "order of the scan is broken" in err
 
 
 @pytest.mark.parametrize("spec", ["abc", "10x", "1x100", "100x100x100"])

@@ -13,7 +13,6 @@ from pauli_uncertainty.verify import (
     max_relative_gap,
     renyi_sums_from_components,
     sweep_band,
-    tsallis_sums_from_components,
 )
 
 from _oracles import (
@@ -21,6 +20,7 @@ from _oracles import (
     entropic_sum_brute,
     neg_xlnx_masked,
     product_f_brute,
+    tsallis_sums_two_pass,
 )
 
 TWO_LN2 = 2.0 * math.log(2.0)
@@ -61,7 +61,7 @@ def test_grid_spec_axes():
 def test_vectorized_sums_match_scalar_oracle(rng):
     comps = rng.uniform(-0.57, 0.57, size=(200, 3))
     for alpha in (0.35, 1.0):
-        got = renyi_sums_from_components(alpha, comps[:, 0], comps[:, 1], comps[:, 2])
+        got, _ = renyi_sums_from_components(alpha, comps[:, 0], comps[:, 1], comps[:, 2])
         for k in range(comps.shape[0]):
             want = entropic_sum_brute(alpha, *comps[k])
             assert got[k] == pytest.approx(want, abs=1e-12)
@@ -84,13 +84,13 @@ def test_renyi_sums_are_bitwise_even_in_the_bloch_vector(rng, alpha):
     # two power terms of every axis and their one addition commutes
     u = rng.normal(size=(50_000, 3))
     u /= np.linalg.norm(u, axis=1)[:, None]
-    plus = renyi_sums_from_components(alpha, u[:, 0], u[:, 1], u[:, 2])
-    minus = renyi_sums_from_components(alpha, -u[:, 0], -u[:, 1], -u[:, 2])
+    plus, _ = renyi_sums_from_components(alpha, u[:, 0], u[:, 1], u[:, 2])
+    minus, _ = renyi_sums_from_components(alpha, -u[:, 0], -u[:, 1], -u[:, 2])
     assert np.array_equal(plus.view(np.int64), minus.view(np.int64))
 
 
 def test_vectorized_tsallis_center():
-    val = tsallis_sums_from_components(0.5, 0.0, 0.0, 0.0)
+    _, val = renyi_sums_from_components(0.5, 0.0, 0.0, 0.0, True)
     assert float(val) == pytest.approx(6.0 * (math.sqrt(2.0) - 1.0), abs=1e-12)
 
 
@@ -178,19 +178,51 @@ def test_scan_is_identical_for_any_chunking(monkeypatch, g, alpha):
     results = []
     for rows in (1, 7, 64, g.n_tau):
         monkeypatch.setattr(verify, "_chunk_rows", lambda n_phi, rows=rows: rows)
-        results.append(verify._scan_grid_uncached(order, g, 2, True))
+        results.append(verify._scan_grid.__wrapped__(order, g, 2, True))
     assert all(r == results[0] for r in results)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    kernel = getattr(verify, name)
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(verify, name, counting)
+    return calls
 
 
 @pytest.mark.parametrize("domain", ["D", "full"])
 def test_order_one_tsallis_maximum_comes_from_the_shannon_scan(monkeypatch, domain):
-    def no_tsallis(*args, **kwargs):
-        raise AssertionError("order one recomputed its Shannon sums")
-
-    monkeypatch.setattr(verify, "tsallis_sums_from_components", no_tsallis)
+    # two -p ln p terms per axis and chunk, with or without Tsallis
+    calls = _count_calls(monkeypatch, "_neg_xlnx")
     order = bounds.supported_order(1.0)
-    scan = verify._scan_grid_uncached(order, GridSpec(150, 97, domain), 2, True)
+    scan = verify._scan_grid.__wrapped__(order, GridSpec(150, 97, domain), 2, True)
+    assert len(calls) == 6 * 3  # 150 rows in chunks of 64
     assert scan.tsallis_maximum == scan.maximum
+
+
+@pytest.mark.parametrize("want_tsallis", [False, True])
+def test_scan_evaluates_each_power_sum_once_per_chunk(monkeypatch, want_tsallis):
+    calls = _count_calls(monkeypatch, "_power_sum")
+    order = bounds.supported_order(0.5)
+    verify._scan_grid.__wrapped__(order, GridSpec(150, 97), 1, want_tsallis)
+    assert len(calls) == 3 * 3  # one per axis, 150 rows in chunks of 64
+
+
+@pytest.mark.parametrize("domain", ["D", "full"])
+@pytest.mark.parametrize("alpha", [1.1e-6, 0.2, 0.5, 0.9999, 1.0])
+def test_tsallis_maximum_matches_the_two_pass_oracle(domain, alpha):
+    g = GridSpec(150, 97, domain)
+    sin2t = np.sin(2.0 * g.tau_values())[:, None]
+    x = sin2t * np.cos(g.phi_values())[None, :]
+    y = sin2t * np.sin(g.phi_values())[None, :]
+    z = np.cos(2.0 * g.tau_values())[:, None]
+    want = np.max(tsallis_sums_two_pass(alpha, x, y, z))
+    scan = verify._scan_grid.__wrapped__(bounds.supported_order(alpha), g, 2, True)
+    assert scan.tsallis_maximum.hex() == float(want).hex()
 
 
 def test_chunk_rows_follow_the_element_budget():
@@ -201,15 +233,19 @@ def test_chunk_rows_follow_the_element_budget():
 
 
 def _count_scans(monkeypatch):
-    verify._last_scan.cache_clear()
+    """Record the key of every call that misses the scan memo, so really scans."""
+    cached = verify._scan_grid
+    cached.cache_clear()
     keys = []
-    uncached = verify._scan_grid_uncached
 
     def counting(order, g, n_threads, want_tsallis):
-        keys.append((order.alpha, g, n_threads, want_tsallis))
-        return uncached(order, g, n_threads, want_tsallis)
+        misses = cached.cache_info().misses
+        scan = cached(order, g, n_threads, want_tsallis)
+        if cached.cache_info().misses > misses:
+            keys.append((order.alpha, g, n_threads, want_tsallis))
+        return scan
 
-    monkeypatch.setattr(verify, "_scan_grid_uncached", counting)
+    monkeypatch.setattr(verify, "_scan_grid", counting)
     return keys
 
 
@@ -233,16 +269,17 @@ def test_verify_scans_each_order_and_grid_once(monkeypatch, capsys):
 
 def test_scan_memo_misses_on_any_key_change(monkeypatch):
     keys = _count_scans(monkeypatch)
+    half, three_quarters = bounds.supported_order(0.5), bounds.supported_order(0.75)
     g = GridSpec(21, 23)
-    first = verify._scan_grid(0.5, g)
+    first = verify._scan_grid(half, g, 1, False)
     assert verify._scan_grid(bounds.supported_order(0.5), g, 1, False) is first
     assert len(keys) == 1
-    verify._scan_grid(0.75, g)
-    verify._scan_grid(0.75, GridSpec(23, 21))
-    verify._scan_grid(0.75, GridSpec(23, 21), n_threads=2)
-    verify._scan_grid(0.75, GridSpec(23, 21), n_threads=2, want_tsallis=True)
+    verify._scan_grid(three_quarters, g, 1, False)
+    verify._scan_grid(three_quarters, GridSpec(23, 21), 1, False)
+    verify._scan_grid(three_quarters, GridSpec(23, 21), 2, False)
+    verify._scan_grid(three_quarters, GridSpec(23, 21), 2, True)
     # a single entry: going back to the first key scans again
-    assert verify._scan_grid(0.5, g) == first
+    assert verify._scan_grid(half, g, 1, False) == first
     assert len(keys) == 6
 
 
@@ -316,7 +353,7 @@ def test_impurity_scan_fails_on_a_broken_concavity_chain(monkeypatch):
     # reverses the chain, since mixing raises S above its eigenstates' S
     sums = verify.renyi_sums_from_components
     monkeypatch.setattr(
-        verify, "renyi_sums_from_components", lambda *a: 3.0 * TWO_LN2 - sums(*a)
+        verify, "renyi_sums_from_components", lambda *a: (3.0 * TWO_LN2 - sums(*a)[0], None)
     )
     report = impurity_gap_scan(0.5, seed=11, count=2_000)
     assert report.observed > TWO_LN2 and report.abs_error == 0.0
