@@ -12,7 +12,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import bounds, verify
-from .distributions import OrderDomainError, renyi_entropy, tsallis_entropy
+from .distributions import ORDER_ONE_TOL, OrderDomainError, renyi_entropy, tsallis_entropy
 from .pauli_measure import PauliTriple, measure_mixed, measure_pure
 from .qubit import BlochVector, PureStateAngles, angles_to_bloch, pauli_eigenstate
 
@@ -224,6 +224,8 @@ def cmd_verify(args) -> int:
     alphas = _orders(args, DEFAULT_VERIFY_ALPHAS)
     # every order is checked against the domain before the first scan
     orders = [bounds.supported_order(alpha) for alpha in alphas]
+    if sum(order.is_one for order in orders) > 1:
+        raise _InputError(f"orders within {ORDER_ONE_TOL:g} of 1 would repeat the Shannon row")
     claimed = bounds.TWO_LN2 - 0.01 if args.inject_low_claim else None
 
     reports = []
@@ -237,9 +239,10 @@ def cmd_verify(args) -> int:
             reports.append(verify.grid_max_sum_pure(a, grid, n_threads=args.threads))
         reports.append(verify.impurity_gap_scan(grid_orders[-1], args.seed, args.samples))
         if not order.is_one:
-            # the sign claims scale with (1 - alpha); within ~1e-4 of 1 they
-            # drop below what a 1e-6 central difference can resolve, so the
-            # Shannon row relies on the sub-one orders for this check
+            # the sign claims scale with (1 - alpha) and vanish at order one,
+            # so the Shannon row relies on the sub-one orders; below 1 - alpha
+            # of about 3e-7 rounding swamps the 1e-6 central difference and
+            # the bisection misses pi/8 (verify --alpha 0.9999999 exits 1)
             reports.append(verify.derivative_sign_check(order, args.points))
     sweep_grid = verify.GridSpec(min(grid.n_tau, 401), min(grid.n_phi, 401))
     points, sweep_report = verify.sweep_band(alphas, sweep_grid, n_threads=args.threads)

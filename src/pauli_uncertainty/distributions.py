@@ -100,7 +100,8 @@ def phi_alpha(p: DistributionLike, a: OrderLike) -> float:
     """
     dist = as_distribution(p)
     alpha = as_order(a).alpha
-    return math.fsum(x**alpha for x in dist.probs if x > 0.0)
+    # alpha > 0, so 0.0**alpha is exactly 0.0 and fsum adds it exactly
+    return math.fsum(x**alpha for x in dist.probs)
 
 
 def shannon_entropy(p: DistributionLike) -> float:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .distributions import ProbabilityDistribution
-from .qubit import BlochVector, PureStateAngles
+from .qubit import BlochVector, PureStateAngles, angles_to_bloch
 
 #: Probabilities within this distance of 0 or 1 are clamped; anything
 #: farther outside [0, 1] is a logic bug and raises.
@@ -68,12 +67,7 @@ def _outcome_pair(component: float) -> ProbabilityDistribution:
 
 def measure_pure(s: PureStateAngles) -> PauliTriple:
     """Outcome distributions for a pure state given by its angles."""
-    sin2t = math.sin(2.0 * s.tau)
-    return PauliTriple(
-        p=_outcome_pair(sin2t * math.cos(s.phi)),
-        q=_outcome_pair(sin2t * math.sin(s.phi)),
-        r=_outcome_pair(math.cos(2.0 * s.tau)),
-    )
+    return measure_mixed(angles_to_bloch(s))
 
 
 def measure_mixed(b: BlochVector) -> PauliTriple:

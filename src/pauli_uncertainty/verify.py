@@ -44,7 +44,6 @@ EXTREMUM_TOL_FACTOR = 4.0
 MAX_GRID_POINTS = 10**8
 
 _FD_STEP = 1e-6          # central-difference step for derivative checks
-_BOUNDARY_FLAT_TOL = 1e-9
 
 #: A scan chunk holds at most this many grid points per temporary array
 #: (and never more than _MAX_CHUNK_ROWS rows), so memory per thread stays
@@ -124,11 +123,16 @@ class VerificationReport:
 
 
 def _neg_xlnx(p: np.ndarray) -> np.ndarray:
-    # where= skips p <= 0 without a boolean gather/scatter; skipped slots
-    # keep the +0.0 fill, and ln(p) * -p rounds exactly like -p * ln(p)
-    positive = p > 0.0
-    out = np.log(p, out=np.zeros_like(p), where=positive)
-    return np.multiply(out, -p, out=out, where=positive)
+    # p lies in [0, 1]. The clamp to the smallest subnormal passes every
+    # p > 0 through unchanged, and at p == 0 gives ln(5e-324) * -0.0 =
+    # +0.0: exactly the 0 ln 0 = 0 convention, with no mask
+    return np.log(np.maximum(p, 5e-324)) * -p
+
+
+def _components(tau, phi):
+    """Bloch components (sin 2tau cos phi, sin 2tau sin phi, cos 2tau), floats or arrays."""
+    sin2t = np.sin(2.0 * tau)
+    return sin2t * np.cos(phi), sin2t * np.sin(phi), np.cos(2.0 * tau)
 
 
 def _power_sum(alpha: float, c):
@@ -177,12 +181,9 @@ class _ScanResult:
 
 
 def _scan_chunk(order: EntropyOrder, tau_chunk, phi, row_offset, n_phi, want_tsallis):
-    sin2t = np.sin(2.0 * tau_chunk)[:, None]
     # the z component depends on tau only: one (rows, 1) column, which the
     # kernel broadcasts, so its entropy term is evaluated once per row
-    z = np.cos(2.0 * tau_chunk)[:, None]
-    x = sin2t * np.cos(phi)[None, :]
-    y = sin2t * np.sin(phi)[None, :]
+    x, y, z = _components(tau_chunk[:, None], phi[None, :])
     sums, tsallis = renyi_sums_from_components(order, x, y, z, want_tsallis)
     flat = sums.ravel()
     i_min = int(np.argmin(flat))
@@ -370,8 +371,6 @@ def impurity_gap_scan(a: OrderLike, seed: int, count: int) -> VerificationReport
     so the chain's right side is sum(psi+), evaluated once.
     """
     order = bounds.supported_order(a, allow_one=False)
-    if count < 1:
-        raise ValueError("count must be >= 1")
     b = 0.999 * sample_mixed(seed, count)
     norms = np.linalg.norm(b, axis=1)
     sums_mixed, _ = renyi_sums_from_components(order, b[:, 0], b[:, 1], b[:, 2])
@@ -402,23 +401,15 @@ def impurity_gap_scan(a: OrderLike, seed: int, count: int) -> VerificationReport
 
 def _product_f(alpha: float, tau, phi):
     """Power-sum product from raw angles (floats or broadcastable arrays)."""
-    sin2t = np.sin(2.0 * tau)
+    x, y, z = _components(tau, phi)
+    return _power_sum(alpha, x) * _power_sum(alpha, y) * _power_sum(alpha, z)
+
+
+def _fd(alpha: float, tau, phi, d_tau: float, d_phi: float):
+    """Central difference along (d_tau, d_phi), (1, 0) or (0, 1): adding 0.0 * h is exact."""
+    h_tau, h_phi = d_tau * _FD_STEP, d_phi * _FD_STEP
     return (
-        _power_sum(alpha, sin2t * np.cos(phi))
-        * _power_sum(alpha, sin2t * np.sin(phi))
-        * _power_sum(alpha, np.cos(2.0 * tau))
-    )
-
-
-def _fd_dphi(alpha: float, tau, phi):
-    return (
-        _product_f(alpha, tau, phi + _FD_STEP) - _product_f(alpha, tau, phi - _FD_STEP)
-    ) / (2.0 * _FD_STEP)
-
-
-def _fd_dtau(alpha: float, tau, phi):
-    return (
-        _product_f(alpha, tau + _FD_STEP, phi) - _product_f(alpha, tau - _FD_STEP, phi)
+        _product_f(alpha, tau + h_tau, phi + h_phi) - _product_f(alpha, tau - h_tau, phi - h_phi)
     ) / (2.0 * _FD_STEP)
 
 
@@ -434,11 +425,11 @@ def derivative_sign_check(a: OrderLike, n_points: int) -> VerificationReport:
     """Finite-difference certificate of the derivative sign pattern.
 
     Checked claims: the power-sum product is non-decreasing in phi inside
-    the reduced rectangle and flat in phi on the tau = 0 edge; along
+    the reduced rectangle and exactly flat in phi on the tau = 0 edge; along
     phi = 0 it strictly increases on (0, pi/8), strictly decreases on
     (pi/8, pi/4), and the sign change sits at pi/8 (located by bisection
-    to within the reported tolerance). Differences within the rounding
-    noise bound :func:`_fd_sign_gate` count as zero.
+    to within the reported tolerance). Off the edge, differences within the
+    rounding noise bound :func:`_fd_sign_gate` count as zero.
     """
     order = bounds.supported_order(a, allow_one=False)
     alpha = order.alpha
@@ -450,23 +441,24 @@ def derivative_sign_check(a: OrderLike, n_points: int) -> VerificationReport:
     gate = _fd_sign_gate(alpha)
 
     inner = np.linspace(margin, quarter - margin, max(2, math.isqrt(n_points)))
-    interior_ok = np.all(_fd_dphi(alpha, inner[:, None], inner[None, :]) >= -gate)
+    interior_ok = np.all(_fd(alpha, inner[:, None], inner[None, :], 0.0, 1.0) >= -gate)
 
     rising = np.linspace(margin, eighth - margin, n_points)
     falling = np.linspace(eighth + margin, quarter - margin, n_points)
-    line_ok = np.all(_fd_dtau(alpha, rising, 0.0) > gate) and np.all(
-        _fd_dtau(alpha, falling, 0.0) < -gate
+    line_ok = np.all(_fd(alpha, rising, 0.0, 1.0, 0.0) > gate) and np.all(
+        _fd(alpha, falling, 0.0, 1.0, 0.0) < -gate
     )
 
+    # x = y = 0.0 at tau = 0 for every phi: both products are the same bits
     edge = np.linspace(0.01, quarter - 0.01, min(n_points, 32))
-    edge_ok = np.all(np.abs(_fd_dphi(alpha, 0.0, edge)) <= _BOUNDARY_FLAT_TOL)
+    edge_ok = np.all(_fd(alpha, 0.0, edge, 0.0, 1.0) == 0.0)
 
     # bisect the sign change of the phi = 0 tau-derivative around pi/8 on
     # Python floats: array pow may differ from libm's and move the crossing
     lo, hi = eighth - 0.02, eighth + 0.02
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _fd_dtau(alpha, mid, 0.0) > 0.0:
+        if _fd(alpha, mid, 0.0, 1.0, 0.0) > 0.0:
             lo = mid
         else:
             hi = mid

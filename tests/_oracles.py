@@ -80,6 +80,18 @@ def product_f_brute(alpha: float, tau: float, phi: float) -> float:
     return out
 
 
+def measure_pure_trig(s):
+    """PauliTriple of a pure state by its own trig, the reference for pauli_measure.measure_pure."""
+    from pauli_uncertainty.pauli_measure import PauliTriple, _outcome_pair
+
+    sin2t = math.sin(2.0 * s.tau)
+    return PauliTriple(
+        p=_outcome_pair(sin2t * math.cos(s.phi)),
+        q=_outcome_pair(sin2t * math.sin(s.phi)),
+        r=_outcome_pair(math.cos(2.0 * s.tau)),
+    )
+
+
 def neg_xlnx_masked(p: np.ndarray) -> np.ndarray:
     """-p ln p with 0 at p <= 0 by boolean gather/scatter, the reference for verify._neg_xlnx."""
     out = np.zeros_like(p)
@@ -134,7 +146,7 @@ def derivative_sign_check_loop(a, n_points: int):
         dtau(t, 0.0) < -gate for t in falling
     )
     edge_ok = all(
-        abs(dphi(0.0, p)) <= verify._BOUNDARY_FLAT_TOL
+        dphi(0.0, p) == 0.0
         for p in np.linspace(0.01, quarter - 0.01, min(n_points, 32)).tolist()
     )
     lo, hi = eighth - 0.02, eighth + 0.02

@@ -268,6 +268,22 @@ def test_alpha_range_rejects_orders_that_repeat_after_rounding(monkeypatch, caps
         assert "repeat" in err
 
 
+def test_verify_rejects_several_orders_on_the_shannon_row(monkeypatch, capsys):
+    # all six orders lie within ORDER_ONE_TOL of 1: each would be the same
+    # Shannon row, printed and scanned once per order
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before the orders were checked")
+
+    monkeypatch.setattr(verify, "grid_min_sum", no_scan)
+    code, out, err = run(
+        capsys, "verify", "--alpha-range", "0.9999999995:1.0:1e-10",
+        "--grid", "101x101", "--samples", "1000", "--points", "50",
+    )
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert "Shannon row" in err
+
+
 # -------------------------------------------------------------------- verify
 
 GOLDEN_VERIFY_101 = """\

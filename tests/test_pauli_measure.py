@@ -13,7 +13,7 @@ from pauli_uncertainty.qubit import (
     pauli_eigenstate,
 )
 
-from _oracles import born_pair, density_from_bloch
+from _oracles import born_pair, density_from_bloch, measure_pure_trig
 
 QUARTER_PI = math.pi / 4.0
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -75,6 +75,19 @@ def test_pure_and_mixed_paths_agree(rng):
         for da, db in ((a.p, b.p), (a.q, b.q), (a.r, b.r)):
             assert abs(da[0] - db[0]) <= 1e-12
             assert abs(da[1] - db[1]) <= 1e-12
+
+
+def test_measure_pure_matches_its_own_trig_bitwise(rng):
+    # measure_pure goes through angles_to_bloch; the triple must keep the
+    # bits of the trig it once did itself, fold edges included
+    special = [0.0, math.pi / 8.0, QUARTER_PI, math.pi / 2.0, 2.0 * math.pi, 1e-300, -1e-300]
+    angles = [(t, p) for t in special for p in special]
+    angles += rng.uniform(-10.0, 10.0, size=(5000, 2)).tolist()
+    for tau, phi in angles:
+        s = PureStateAngles(tau, phi)
+        got, want = measure_pure(s), measure_pure_trig(s)
+        for axis in "xyz":
+            assert [p.hex() for p in got.axis(axis)] == [p.hex() for p in want.axis(axis)]
 
 
 def test_pairs_sum_exactly_to_one(rng):

@@ -69,7 +69,9 @@ def test_vectorized_sums_match_scalar_oracle(rng):
 
 def test_neg_xlnx_matches_masked_reference(rng):
     p = rng.random((37, 53))
-    p[0, :4] = [0.0, 1.0, 5e-324, 0.5]
+    # the smallest normal, the largest p below 1 and 0.5 -/+ one ulp too
+    p[0, :8] = [0.0, 1.0, 5e-324, 0.5, float(np.finfo(float).tiny), 1.0 - 2.0**-53,
+                math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]
     got = verify._neg_xlnx(p)
     want = neg_xlnx_masked(p)
     # compare bit patterns, so that +0.0 at p == 0 and -0.0 at p == 1 count
@@ -426,6 +428,14 @@ def test_derivative_sign_check_fails_for_reciprocal_product(monkeypatch, alpha):
     product = verify._product_f
     monkeypatch.setattr(verify, "_product_f", lambda a, t, p: 1.0 / product(a, t, p))
     assert not derivative_sign_check(alpha, 50).passed
+
+
+@pytest.mark.parametrize("alpha", [1.1e-6, 0.5, 0.999999])
+def test_tau_zero_differences_are_exactly_zero(alpha):
+    # x and y are 0.0 at tau = 0 for every phi: both products are the same bits
+    edge = np.linspace(0.01, QUARTER_PI - 0.01, 32)
+    assert np.all(verify._fd(alpha, 0.0, edge, 0.0, 1.0) == 0.0)
+    assert all(verify._fd(alpha, 0.0, p, 0.0, 1.0) == 0.0 for p in edge.tolist())
 
 
 def test_derivative_sign_check_rejects_order_one():
