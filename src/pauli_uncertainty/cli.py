@@ -94,17 +94,8 @@ def _parse_grid(spec: str) -> verify.GridSpec:
 
 def _parse_state(args) -> tuple[PauliTriple, str]:
     """Build the measured triple, whose is_pure decides purity, from one state option."""
-    given = [
-        name
-        for name, value in (
-            ("--angles", args.angles),
-            ("--bloch", args.bloch),
-            ("--eigenstate", args.eigenstate),
-            ("--mix", args.mix),
-        )
-        if value is not None
-    ]
-    if len(given) != 1:
+    given = (args.angles, args.bloch, args.eigenstate, args.mix)
+    if sum(value is not None for value in given) != 1:
         raise _InputError("specify exactly one of --angles, --bloch, --eigenstate, --mix")
 
     if args.angles is not None:
@@ -113,11 +104,7 @@ def _parse_state(args) -> tuple[PauliTriple, str]:
         return measure_pure(state), f"angles tau={state.tau:.9g} phi={state.phi:.9g}"
     if args.bloch is not None:
         x, y, z = _parse_floats(args.bloch, 3, "--bloch")
-        try:
-            b = BlochVector(x, y, z)
-        except ValueError as exc:
-            raise _InputError(str(exc)) from exc
-        return measure_mixed(b), f"bloch ({x:.9g}, {y:.9g}, {z:.9g})"
+        return measure_mixed(BlochVector(x, y, z)), f"bloch ({x:.9g}, {y:.9g}, {z:.9g})"
     if args.eigenstate is not None:
         name = args.eigenstate.strip().lower()
         if len(name) != 2 or name[0] not in "xyz" or name[1] not in "+-":

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .distributions import ProbabilityDistribution
-from .qubit import BlochVector, PureStateAngles, angles_to_bloch
+from .qubit import PURITY_TOL, BlochVector, PureStateAngles, angles_to_bloch
 
 #: Probabilities within this distance of 0 or 1 are clamped; anything
 #: farther outside [0, 1] is a logic bug and raises.
@@ -41,7 +42,7 @@ class PauliTriple:
 
     @property
     def is_pure(self) -> bool:
-        return self.bloch_norm_sq >= 1.0 - 2e-9
+        return math.sqrt(self.bloch_norm_sq) >= 1.0 - PURITY_TOL
 
     def axis(self, name: str) -> ProbabilityDistribution:
         return {"x": self.p, "y": self.q, "z": self.r}[name]

@@ -156,12 +156,13 @@ def renyi_sums_from_components(
     """
     order = as_order(a)
     x, y, z = np.asarray(x, float), np.asarray(y, float), np.asarray(z, float)
-    renyi = np.zeros(np.broadcast(x, y, z).shape)
+    # 0.0 + v gives a zero buffer's bits; the terms set the broadcast shape
+    renyi = 0.0
     if order.is_one:
         for comp in (x, y, z):
             renyi = renyi + _neg_xlnx((1.0 + comp) / 2.0) + _neg_xlnx((1.0 - comp) / 2.0)
         return renyi, (renyi if want_tsallis else None)
-    tsallis = np.zeros_like(renyi) if want_tsallis else None
+    tsallis = 0.0 if want_tsallis else None
     for comp in (x, y, z):
         if want_tsallis:
             ps = _power_sum(order.alpha, comp)

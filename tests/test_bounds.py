@@ -22,7 +22,8 @@ from pauli_uncertainty.bounds import (
     series_coeffs_g,
     symmetry_reduce,
 )
-from pauli_uncertainty.pauli_measure import measure_mixed, measure_pure
+from pauli_uncertainty.distributions import ProbabilityDistribution
+from pauli_uncertainty.pauli_measure import PauliTriple, measure_mixed, measure_pure
 from pauli_uncertainty.qubit import BlochVector, PureStateAngles, pauli_eigenstate
 
 from _oracles import product_f_brute
@@ -431,6 +432,37 @@ def test_check_upper_interior_at_eigenstate():
 def test_check_upper_rejects_mixed_states():
     with pytest.raises(ValueError):
         check_upper(measure_mixed(BlochVector(0.0, 0.0, 0.0)), 0.5)
+
+
+# z deterministic to within the 1e-12 gate, x 1.1e-6 off 1/2 and so beyond
+# sqrt(gate) = 1e-6; the squared Bloch norm stays below 1 + 1e-12
+_OFF_UNIFORM = PauliTriple(
+    p=ProbabilityDistribution((0.5 + 1.1e-6, 0.5 - 1.1e-6)),
+    q=ProbabilityDistribution((0.5, 0.5)),
+    r=ProbabilityDistribution((1.0 - 1e-12, 1e-12)),
+)
+_Z_PLUS = measure_pure(pauli_eigenstate("z", 1))
+_CENTER = measure_mixed(BlochVector(0.0, 0.0, 0.0))
+# 2**-20 is exact against both bounds, so the printed gap is too
+_EXCESS = 2.0**-20
+
+
+@pytest.mark.parametrize(
+    "check, excess, triple, message",
+    [
+        (check_lower, -_EXCESS, _Z_PLUS, "entropic sum undercuts 2 ln 2 by 9.5367431640625e-07"),
+        (check_lower, 0.0, _CENTER, "saturated lower bound without a deterministic axis"),
+        (check_lower, 0.0, _OFF_UNIFORM, "saturated lower bound without two uniform axes"),
+        (check_upper, _EXCESS, _Z_PLUS, "entropic sum exceeds the pure-state ceiling by 9.5367431640625e-07"),
+        (check_upper, 0.0, _Z_PLUS, "saturated upper bound without the extremal outcome pair"),
+    ],
+)
+def test_checks_raise_bound_violation(monkeypatch, check, excess, triple, message):
+    bound = TWO_LN2 if check is check_lower else 3.0 * rho_hat(0.5)
+    monkeypatch.setattr(bounds, "entropic_sum_renyi", lambda t, a: bound + excess)
+    with pytest.raises(bounds.BoundViolationError) as info:
+        check(triple, 0.5, 0.0)
+    assert str(info.value) == message
 
 
 def test_random_states_respect_both_bounds(rng):

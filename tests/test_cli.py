@@ -93,6 +93,29 @@ def test_eval_errors(capsys):
     assert code == EXIT_INPUT_ERROR
 
 
+@pytest.mark.parametrize("command", ["eval", "saturate"])
+@pytest.mark.parametrize(
+    "option, spec, message",
+    [
+        ("--bloch", "1,a,0", "--bloch has a non-numeric entry: '1,a,0'"),
+        ("--bloch", "inf,0,0", "Bloch components must be finite"),
+        ("--bloch", "2,0,0", "Bloch vector (2.0, 0.0, 0.0) lies outside the unit ball"),
+        ("--eigenstate", "w+", "bad --eigenstate 'w+', expected e.g. z+ or x-"),
+        ("--eigenstate", "x", "bad --eigenstate 'x', expected e.g. z+ or x-"),
+        ("--mix", "abc,x", "bad --mix weight 'abc'"),
+        ("--mix", "1.5,x", "bad --mix '1.5,x', expected LAMBDA,AXIS with LAMBDA in [0,1]"),
+        ("--mix", "0.5,w", "bad --mix '0.5,w', expected LAMBDA,AXIS with LAMBDA in [0,1]"),
+        ("--angles", "nan,0", "angles must be finite, got (nan, 0.0)"),
+    ],
+)
+def test_state_option_rejections(capsys, command, option, spec, message):
+    # the state constructors' own ValueErrors reach main unwrapped
+    code, out, err = run(capsys, command, option, spec, "--alpha", "0.5")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # ------------------------------------------------------------------ saturate
 
 
@@ -140,8 +163,8 @@ def test_saturate_gate_covers_rounding_floor(capsys, eigenstate, alpha, tol):
 
 
 def test_eval_and_saturate_agree_on_purity(capsys):
-    # norm within 1e-9 of 1, squared norm of the probability differences
-    # further than 2e-9 from 1: both commands read the triple's purity
+    # norm within PURITY_TOL of 1, but the vector the probabilities
+    # reconstruct lies further from 1: both commands read the triple's purity
     bloch = "--bloch=0.329077124688033,-0.5399667027320034,-0.7746897468972885"
     code, out, _ = run(capsys, "eval", bloch, "--alpha", "0.5")
     assert code == EXIT_OK

@@ -441,3 +441,8 @@ def test_tau_zero_differences_are_exactly_zero(alpha):
 def test_derivative_sign_check_rejects_order_one():
     with pytest.raises(ValueError):
         derivative_sign_check(1.0, 100)
+
+
+def test_derivative_sign_check_rejects_no_points():
+    with pytest.raises(ValueError, match="n_points must be >= 1"):
+        derivative_sign_check(0.5, 0)
