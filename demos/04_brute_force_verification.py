@@ -1,4 +1,4 @@
-"""Re-deriving every bound by exhaustive search and random sampling.
+"""Re-deriving every bound by exact grid search and random sampling.
 
 The verification layer recomputes entropic sums from raw probabilities,
 powers and logarithms, then compares the observed grid extrema against the

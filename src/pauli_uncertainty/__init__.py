@@ -4,7 +4,7 @@ The library evaluates Renyi and Tsallis entropies of the outcome
 distributions of sigma_x, sigma_y, sigma_z on any qubit state, provides the
 tight state-independent lower bound 2 ln 2 and pure-state ceiling
 3 rho_hat(alpha) of the entropic sum for orders alpha in (0, 1], and
-re-verifies every bound by exhaustive grid search and random sampling.
+re-verifies every bound by exact grid extrema and random sampling.
 
 The top level re-exports the entry points the demos use; everything else
 is imported from its submodule.

@@ -23,7 +23,7 @@ EXIT_DOMAIN_ERROR = 3
 
 DEFAULT_SEED = 20240817
 DEFAULT_VERIFY_ALPHAS = (0.25, 0.5, 0.75, 1.0)
-#: Upper limit of verify --threads; each thread holds its own chunk buffers.
+#: Upper limit of verify --threads; each thread holds its own batch buffers.
 MAX_THREADS = 64
 #: Upper limits of verify --samples and --points: each sample or point is a
 #: row of every temporary array of its check (~175 MB at 1e6 samples).

@@ -168,3 +168,44 @@ def derivative_sign_check_loop(a, n_points: int):
         passed=interior_ok and line_ok and edge_ok and crossing_err <= 1e-4,
         location=(crossing, 0.0),
     )
+
+
+def scan_grid_exhaustive(order, g, n_threads: int, want_tsallis: bool):
+    """Every grid point in row chunks of at most 131,072 points, the reference for verify._scan_grid.
+
+    The chunks run on n_threads threads and reduce by (value, flat index),
+    so ties go to the lowest index; the sums come from the library's array
+    kernel, the trig from this function's own calls.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    from pauli_uncertainty.verify import _ScanResult, renyi_sums_from_components
+
+    tau, phi = g.tau_values(), g.phi_values()
+    rows = max(1, min(64, 131_072 // g.n_phi))
+
+    def chunk(lo):
+        sin2t = np.sin(2.0 * tau[lo : lo + rows])[:, None]
+        x, y = sin2t * np.cos(phi)[None, :], sin2t * np.sin(phi)[None, :]
+        z = np.cos(2.0 * tau[lo : lo + rows])[:, None]
+        sums, tsallis = renyi_sums_from_components(order, x, y, z, want_tsallis)
+        flat = sums.ravel()
+        i_min, i_max = int(np.argmin(flat)), int(np.argmax(flat))
+        ts_max = float(np.max(tsallis)) if want_tsallis else -math.inf
+        base = lo * g.n_phi
+        return _ScanResult(
+            float(flat[i_min]), base + i_min, float(flat[i_max]), base + i_max, ts_max, flat.size
+        )
+
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        partials = list(pool.map(chunk, range(0, g.n_tau, rows)))
+    best_min = min(partials, key=lambda r: (r.minimum, r.min_index))
+    best_max = min(partials, key=lambda r: (-r.maximum, r.max_index))
+    return _ScanResult(
+        best_min.minimum,
+        best_min.min_index,
+        best_max.maximum,
+        best_max.max_index,
+        max(r.tsallis_maximum for r in partials),
+        g.n_tau * g.n_phi,
+    )

@@ -432,7 +432,7 @@ def test_verify_negative_control(capsys):
 
 @pytest.mark.parametrize("threads", ["0", "-3", "65"])
 def test_verify_rejects_threads_out_of_range(capsys, threads):
-    # a 21x21 grid is a single chunk, so even without the check no more
+    # a 21x21 grid is a single block, so even without the check no more
     # than one worker thread could start
     code, out, err = run(capsys, "verify", "--alpha", "0.5", "--grid", "21x21", "--threads", threads)
     assert code == EXIT_INPUT_ERROR

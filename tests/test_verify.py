@@ -20,6 +20,7 @@ from _oracles import (
     entropic_sum_brute,
     neg_xlnx_masked,
     product_f_brute,
+    scan_grid_exhaustive,
     tsallis_sums_two_pass,
 )
 
@@ -176,12 +177,16 @@ def test_reports_are_deterministic_across_threads():
 @pytest.mark.parametrize("g", [GridSpec(150, 97), GridSpec(130, 64, "full")])
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_scan_is_identical_for_any_chunking(monkeypatch, g, alpha):
+    # any block side, including one point and one block past the grid, and
+    # any batch budget, including one block per batch
     order = bounds.supported_order(alpha)
     results = []
-    for rows in (1, 7, 64, g.n_tau):
-        monkeypatch.setattr(verify, "_chunk_rows", lambda n_phi, rows=rows: rows)
+    for block, batch_points in ((1, 131_072), (7, 49), (32, 131_072), (64, 8192), (g.n_tau, 1)):
+        monkeypatch.setattr(verify, "_BLOCK", block)
+        monkeypatch.setattr(verify, "_BATCH_POINTS", batch_points)
         results.append(verify._scan_grid.__wrapped__(order, g, 2, True))
     assert all(r == results[0] for r in results)
+    assert results[0] == scan_grid_exhaustive(order, g, 1, True)
 
 
 def _count_calls(monkeypatch, name):
@@ -189,7 +194,7 @@ def _count_calls(monkeypatch, name):
     kernel = getattr(verify, name)
 
     def counting(*args):
-        calls.append(1)
+        calls.append(args)
         return kernel(*args)
 
     monkeypatch.setattr(verify, name, counting)
@@ -198,20 +203,33 @@ def _count_calls(monkeypatch, name):
 
 @pytest.mark.parametrize("domain", ["D", "full"])
 def test_order_one_tsallis_maximum_comes_from_the_shannon_scan(monkeypatch, domain):
-    # two -p ln p terms per axis and chunk, with or without Tsallis
-    calls = _count_calls(monkeypatch, "_neg_xlnx")
+    # two -p ln p terms per axis, per bound pass and per evaluated batch,
+    # with or without Tsallis, and no power sum
     order = bounds.supported_order(1.0)
-    scan = verify._scan_grid.__wrapped__(order, GridSpec(150, 97, domain), 2, True)
-    assert len(calls) == 6 * 3  # 150 rows in chunks of 64
+    g = GridSpec(150, 97, domain)
+    counts = []
+    for want_tsallis in (False, True):
+        with monkeypatch.context() as m:
+            terms = _count_calls(m, "_neg_xlnx")
+            powers = _count_calls(m, "_power_sum")
+            batches = _count_calls(m, "_scan_blocks")
+            scan = verify._scan_grid.__wrapped__(order, g, 2, want_tsallis)
+        assert len(terms) == 6 * (2 + len(batches))
+        assert powers == []
+        counts.append(len(terms))
+    assert counts[0] == counts[1]
     assert scan.tsallis_maximum == scan.maximum
 
 
 @pytest.mark.parametrize("want_tsallis", [False, True])
-def test_scan_evaluates_each_power_sum_once_per_chunk(monkeypatch, want_tsallis):
-    calls = _count_calls(monkeypatch, "_power_sum")
+def test_scan_evaluates_each_power_sum_once_per_batch(monkeypatch, want_tsallis):
+    # one per axis for each of the two bound passes and each evaluated batch
+    powers = _count_calls(monkeypatch, "_power_sum")
+    batches = _count_calls(monkeypatch, "_scan_blocks")
     order = bounds.supported_order(0.5)
     verify._scan_grid.__wrapped__(order, GridSpec(150, 97), 1, want_tsallis)
-    assert len(calls) == 3 * 3  # one per axis, 150 rows in chunks of 64
+    assert len(batches) >= 2
+    assert len(powers) == 3 * (2 + len(batches))
 
 
 @pytest.mark.parametrize("domain", ["D", "full"])
@@ -227,11 +245,20 @@ def test_tsallis_maximum_matches_the_two_pass_oracle(domain, alpha):
     assert scan.tsallis_maximum.hex() == float(want).hex()
 
 
-def test_chunk_rows_follow_the_element_budget():
-    assert verify._chunk_rows(2001) == 64
-    assert verify._chunk_rows(2048) == 64
-    assert verify._chunk_rows(4096) == 32
-    assert verify._chunk_rows(100_000) == 1
+def test_batches_follow_the_point_budget(monkeypatch):
+    # whole 32 x 32 blocks, 16 to a batch of 16,384 points: after the
+    # seed batch every batch but the last is full
+    batches = _count_calls(monkeypatch, "_scan_blocks")
+    verify._scan_grid.__wrapped__(bounds.supported_order(0.5), GridSpec(2001, 2001), 1, False)
+    sizes = [blocks.size for _, _, _, blocks, _ in batches]
+    assert verify._BLOCK == 32 and verify._BATCH_POINTS == 16_384
+    assert sizes[0] <= 2 and len(sizes) >= 3
+    assert set(sizes[1:-1]) == {16} and 1 <= sizes[-1] <= 16
+    # a block above the budget still makes a batch of one block
+    batches.clear()
+    monkeypatch.setattr(verify, "_BLOCK", 256)
+    verify._scan_grid.__wrapped__(bounds.supported_order(0.5), GridSpec(600, 600), 1, False)
+    assert {blocks.size for _, _, _, blocks, _ in batches[1:]} == {1}
 
 
 def _count_scans(monkeypatch):
